@@ -25,7 +25,9 @@ from .refine import (
     RefineParams, attention_mask, build_activity_pyramid, channel_weights,
     init_refine_params, refine, refine_forward,
 )
-from .synth import SceneObject, SyntheticScene, load_scene, save_scene, synth_scene
+from .synth import (
+    SceneFormatError, SceneObject, SyntheticScene, load_scene, save_scene, synth_scene,
+)
 from .tensor import NonFiniteError, ShapeError, Tape, TapeConsumedError, Tensor, backward
 from .tensorio import TensorFormatError, read_tensor, write_tensor
 

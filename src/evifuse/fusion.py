@@ -122,7 +122,6 @@ def differential_attention(x, y, p):
     b, c, h, w = x.shape
     if c % p.heads:
         raise ShapeError(f"channels {c} not divisible by heads {p.heads}")
-    d = c // p.heads
     xt = _to_tokens(x)
     yt = _to_tokens(y)
     q1 = _split_heads(_project(xt, p.q1_w, p.q1_b), p.heads)
@@ -130,11 +129,7 @@ def differential_attention(x, y, p):
     k1 = _split_heads(_project(yt, p.k1_w, p.k1_b), p.heads)
     k2 = _split_heads(_project(yt, p.k2_w, p.k2_b), p.heads)
     v = _split_heads(_project(yt, p.v_w, p.v_b), p.heads)
-    scale = 1.0 / np.sqrt(d)
-    a1 = ops.softmax(matmul(q1, ops.transpose_last(k1)) * scale, axis=-1)
-    a2 = ops.softmax(matmul(q2, ops.transpose_last(k2)) * scale, axis=-1)
-    lam = reshape(p.lam, (1, p.heads, 1, 1))
-    attended = matmul(a1 - a2 * lam, v)
+    attended = ops.diff_attention(q1, q2, k1, k2, v, p.lam)
     out = _project(_merge_heads(attended), p.eo_w, p.eo_b)
     return _to_map(out, h, w) + x
 

@@ -1,9 +1,9 @@
 """Neural building-block operations on tensors.
 
 Convolution, pooling, global average pooling, activations, normalization,
-resampling, scaled dot-product attention and cross-entropy. Each fused op
-carries a hand-written adjoint; all adjoints are covered by the finite
-difference suite.
+resampling, attention and cross-entropy. Each fused op carries a
+hand-written adjoint; all adjoints are covered by the finite difference
+suite.
 
 Conventions fixed here:
   - avg pooling divides by the full kernel area (zero padding counts as
@@ -11,13 +11,17 @@ Conventions fixed here:
   - batchnorm uses current-batch statistics, gradients flow through them
   - bilinear resampling maps dst -> (dst + 0.5) * scale - 0.5, edge-clamped
     (align-corners=false); nearest maps dst -> floor(dst * scale)
+  - attention (plain and dual-softmax differential) walks query blocks and
+    recomputes probabilities in backward (FlashAttention, Dao et al. 2022)
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _make, matmul, tmean, transpose
+from .tensor import NonFiniteError, ShapeError, Tensor, _make, tmean
 
 EPS_NORM = 1e-5
 
@@ -180,14 +184,16 @@ def relu(x):
     return _make(out, (x,), bwd)
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+# Python floats, so float32 inputs stay float32 (a numpy float64 scalar
+# would promote them)
+_GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
 def gelu(x):
     """GELU, tanh form: 0.5*x*(1 + tanh(c*(x + a*x^3)))."""
     d = x.data
-    inner = _GELU_C * (d + _GELU_A * d**3)
+    inner = _GELU_C * (d + _GELU_A * (d * d * d))
     th = np.tanh(inner)
     out = 0.5 * d * (1.0 + th)
 
@@ -305,6 +311,7 @@ def _interp_matrix(src, dst, mode, dtype):
         rows = np.arange(dst)
         np.add.at(m, (rows, lo), 1.0 - frac)
         np.add.at(m, (rows, hi), frac)
+    m.setflags(write=False)  # shared by every caller
     _INTERP_CACHE[key] = m
     return m
 
@@ -332,25 +339,131 @@ def resample(x, target, mode="bilinear"):
 # ---------------------------------------------------------------------------
 # attention
 
+# Bytes of one query block's scores, summed over batch and heads. The block
+# height follows from the key count, so the kernel never materialises an
+# N x Nk matrix and stays cache-sized whatever the token count.
+_ATTN_BLOCK_BYTES = 1 << 19
 
-def attention_core(q, k, v):
-    """softmax(Q.K^T / sqrt(d)) . V over [B,h,N,d] / [B,h,Nk,d] heads."""
+
+def _block_rows(batch_heads, keys, itemsize):
+    return max(1, _ATTN_BLOCK_BYTES // (batch_heads * keys * itemsize))
+
+
+def _exp_scores(q, kt, scale, rowmax=None):
+    """exp(scale * (q.k^T - rowmax)) for one query block, plus the row max.
+
+    The row max (and the block min) double as the finiteness check of the
+    raw scores: a NaN row has a NaN max, +Inf shows in the max, -Inf in the
+    min. With ``rowmax`` given (backward) the scores were checked already.
+    """
+    s = np.matmul(q, kt)
+    if rowmax is None:
+        rowmax = s.max(axis=-1, keepdims=True)
+        if not (np.isfinite(rowmax).all() and math.isfinite(s.min())):
+            raise NonFiniteError("attention scores hold NaN/Inf values")
+    s -= rowmax
+    s *= scale
+    np.exp(s, out=s)
+    return s, rowmax
+
+
+def _check_heads(q, k, v):
     if q.ndim != 4 or k.ndim != 4 or v.ndim != 4:
         raise ShapeError("attention operands must be [B, heads, tokens, dim]")
     d = q.shape[-1]
     if d == 0:
         raise ShapeError("attention head dimension must be positive")
-    if k.shape[-1] != d or v.shape[:3] != k.shape[:3]:
-        raise ShapeError("key/value token counts and head dims must agree")
-    scores = matmul(q, transpose_last(k)) * (1.0 / np.sqrt(d))
-    weights = softmax(scores, axis=-1)
-    return matmul(weights, v)
+    if k.shape[-1] != d or v.shape[:3] != k.shape[:3] or q.shape[:2] != k.shape[:2]:
+        raise ShapeError(
+            "query/key/value batch, heads, token counts and head dims must agree")
 
 
-def transpose_last(t):
-    axes = list(range(t.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return transpose(t, tuple(axes))
+def _attention(qs, ks, v, coef):
+    """sum_i coef_i * softmax(q_i.k_i^T / sqrt(d)) . v over query blocks.
+
+    ``coef`` holds one factor per branch: 1.0 for the first, a float or an
+    array broadcasting against [B,h,1,1] for the others. Returns the output
+    data and the adjoint. The adjoint recomputes each block's probabilities
+    from the saved row max and row sum, so only O(N*d) arrays outlive the
+    forward pass; it returns the per-branch query and key gradients, the
+    value gradient and each branch's rowsum(g * softmax . v).
+    """
+    b, h, n, d = qs[0].shape
+    nk, dv = v.shape[2:]
+    dtype = np.result_type(*qs, *ks, v)
+    scale = 1.0 / math.sqrt(d)
+    rows = _block_rows(b * h, nk, dtype.itemsize)
+    kts = [np.swapaxes(k, -1, -2) for k in ks]
+    outs = [np.empty((b, h, n, dv), dtype=dtype) for _ in qs]
+    maxs = [np.empty((b, h, n, 1), dtype=dtype) for _ in qs]
+    sums = [np.empty((b, h, n, 1), dtype=dtype) for _ in qs]
+    for r0 in range(0, n, rows):
+        blk = np.s_[..., r0:r0 + rows, :]
+        for q, kt, o, m, z in zip(qs, kts, outs, maxs, sums):
+            e, m[blk] = _exp_scores(q[blk], kt, scale)
+            z[blk] = e.sum(axis=-1, keepdims=True)
+            o[blk] = np.matmul(e, v) / z[blk]
+    out = outs[0]
+    for c, o in zip(coef[1:], outs[1:]):
+        out = out + c * o
+
+    def bwd(g):
+        vt = np.swapaxes(v, -1, -2)
+        gv = np.zeros_like(v)
+        gqs = [np.empty_like(q) for q in qs]
+        gks = [np.zeros_like(k) for k in ks]
+        # rowsum(dP * P) of each branch, FlashAttention's D term
+        dots = [(g * o).sum(axis=-1, keepdims=True) for o in outs]
+        for r0 in range(0, n, rows):
+            blk = np.s_[..., r0:r0 + rows, :]
+            gb = g[blk]
+            gp = np.matmul(gb, vt)
+            for q, k, kt, m, z, c, dot, gq, gk in zip(
+                    qs, ks, kts, maxs, sums, coef, dots, gqs, gks):
+                p, _ = _exp_scores(q[blk], kt, scale, m[blk])
+                p /= z[blk]
+                gv += c * np.matmul(np.swapaxes(p, -1, -2), gb)
+                p *= gp - dot[blk]
+                p *= c * scale
+                gq[blk] = np.matmul(p, k)
+                gk += np.matmul(np.swapaxes(p, -1, -2), q[blk])
+        return gqs, gks, gv, dots
+
+    return out, bwd
+
+
+def attention_core(q, k, v):
+    """softmax(Q.K^T / sqrt(d)) . V over [B,h,N,d] / [B,h,Nk,d] heads."""
+    _check_heads(q, k, v)
+    out, core = _attention((q.data,), (k.data,), v.data, (1.0,))
+
+    def bwd(g):
+        (gq,), (gk,), gv, _ = core(g)
+        return gq, gk, gv
+
+    return _make(out, (q, k, v), bwd)
+
+
+def diff_attention(q1, q2, k1, k2, v, lam):
+    """(softmax(Q1.K1^T/sqrt(d)) - lam * softmax(Q2.K2^T/sqrt(d))) . V.
+
+    Dual-softmax differential attention over [B,h,N,d] queries and
+    [B,h,Nk,d] keys/values, with one subtraction factor per head in lam [h].
+    """
+    _check_heads(q1, k1, v)
+    if q1.shape != q2.shape or k1.shape != k2.shape:
+        raise ShapeError("the two query/key branches must have equal shapes")
+    if lam.shape != (q1.shape[1],):
+        raise ShapeError(f"lam must hold one value per head, got {lam.shape}")
+    lam_h = lam.data.reshape(1, -1, 1, 1)
+    out, core = _attention(
+        (q1.data, q2.data), (k1.data, k2.data), v.data, (1.0, -lam_h))
+
+    def bwd(g):
+        (gq1, gq2), (gk1, gk2), gv, (_, dot2) = core(g)
+        return gq1, gq2, gk1, gk2, gv, -dot2.sum(axis=(0, 2, 3))
+
+    return _make(out, (q1, q2, k1, k2, v, lam), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -194,28 +194,51 @@ def save_scene(directory, scene):
             fh.write(f"{key}={value}\n")
 
 
-def load_scene(directory):
-    meta = {}
-    with open(os.path.join(directory, "meta")) as fh:
+class SceneFormatError(ValueError):
+    """A scene directory's meta file lacks a key or holds a malformed value."""
+
+
+_META_TYPES = {
+    "height": int, "width": int, "classes": int, "window_us": int,
+    "seed": int, "objects": int, "noise_rate": float,
+}
+
+
+def _read_meta(path):
+    raw = {}
+    with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             key, _, value = line.partition("=")
-            meta[key] = value
-    height = int(meta["height"])
-    width = int(meta["width"])
+            raw[key] = value
+    meta = {}
+    for key, kind in _META_TYPES.items():
+        if key not in raw:
+            raise SceneFormatError(f"{path}: missing key {key!r}")
+        try:
+            meta[key] = kind(raw[key])
+        except ValueError:
+            raise SceneFormatError(
+                f"{path}: key {key!r} has malformed value {raw[key]!r}") from None
+    return meta
+
+
+def load_scene(directory):
+    meta = _read_meta(os.path.join(directory, "meta"))
+    height, width = meta["height"], meta["width"]
     with open(os.path.join(directory, "events.csv")) as fh:
         events = parse_events(fh, (height, width))
     return SyntheticScene(
         events=events,
         image=read_tensor(os.path.join(directory, "image.eift")),
         labels=read_tensor(os.path.join(directory, "labels.eift")),
-        class_count=int(meta["classes"]),
+        class_count=meta["classes"],
         height=height,
         width=width,
-        window_us=int(meta["window_us"]),
-        seed=int(meta["seed"]),
-        n_objects=int(meta["objects"]),
-        noise_rate=float(meta["noise_rate"]),
+        window_us=meta["window_us"],
+        seed=meta["seed"],
+        n_objects=meta["objects"],
+        noise_rate=meta["noise_rate"],
     )

@@ -75,7 +75,7 @@ class Tensor:
         return self.data
 
     def astype(self, dtype):
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
+        return astype(self, dtype)
 
     def detach(self):
         return Tensor(self.data)
@@ -303,6 +303,17 @@ def transpose(t, axes):
     return _make(out, (t,), bwd)
 
 
+def astype(t, dtype):
+    """Dtype conversion; the gradient converts back to the source dtype."""
+    src_dtype = t.data.dtype
+    out = t.data.astype(dtype)
+
+    def bwd(g):
+        return (g.astype(src_dtype),)
+
+    return _make(out, (t,), bwd)
+
+
 def concat(tensors, axis):
     datas = [t.data for t in tensors]
     out = np.concatenate(datas, axis=axis)
@@ -347,8 +358,9 @@ def tsum(t, axis=None, keepdims=False):
 def tmean(t, axis=None, keepdims=False):
     out = t.data.mean(axis=axis, keepdims=keepdims)
     src_shape = t.data.shape
-    count = t.data.size if axis is None else np.prod(
-        [src_shape[a] for a in _norm_axes(axis, t.ndim)]
+    # a Python int: a numpy int64 count would promote float32 gradients
+    count = t.data.size if axis is None else math.prod(
+        src_shape[a] for a in _norm_axes(axis, t.ndim)
     )
 
     def bwd(g):

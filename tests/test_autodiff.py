@@ -81,6 +81,23 @@ class TestTapeSemantics:
         y = tsum(x * x)
         assert y.requires_grad is False
 
+    def test_astype_is_recorded(self):
+        x = Tensor(np.array([1.0, 2.0, 3.0], dtype=np.float32), requires_grad=True)
+        with Tape() as tape:
+            y = tsum(x.astype(np.float64) * 3.0)
+        tape.backward(y)
+        assert x.grad is not None and x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0, 3.0])
+
+    def test_float32_adjoints_stay_float32(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32),
+                   requires_grad=True)
+        with Tape() as tape:
+            tsum(ops.gelu(ops.gap(x) * 2.0) + tmean(x, axis=(2, 3), keepdims=True))
+        for out, _, backward_fn in tape._records:
+            grads = backward_fn(np.ones_like(out.data))
+            assert all(g.dtype == np.float32 for g in grads if g is not None)
+
     def test_module_level_backward_alias(self, rng):
         x = t64(rng.standard_normal(3), requires_grad=True)
         with Tape() as tape:
@@ -202,6 +219,21 @@ class TestOperatorAdjoints:
         qt = t64(q)
         assert _fd(lambda x: tsum(ops.attention_core(qt, x, v) * probe), k.data.copy()) < 1e-6
         assert _fd(lambda x: tsum(ops.attention_core(qt, k, x) * probe), v.data.copy()) < 1e-6
+
+    def test_diff_attention(self, rng, monkeypatch):
+        # two-row query blocks, so the adjoint's block loop runs three times
+        monkeypatch.setattr(ops, "_ATTN_BLOCK_BYTES", 2 * 2 * 4 * 8)
+        shapes = [(1, 2, 5, 3)] * 2 + [(1, 2, 4, 3)] * 3
+        points = [rng.standard_normal(s) for s in shapes] + [rng.uniform(0.2, 0.9, 2)]
+        probe = t64(rng.standard_normal((1, 2, 5, 3)))
+        for i, point in enumerate(points):
+            fixed = [t64(p) for p in points]
+
+            def f(x, i=i, fixed=fixed):
+                args = fixed[:i] + [x] + fixed[i + 1:]
+                return tsum(ops.diff_attention(*args) * probe)
+
+            assert _fd(f, point) < 1e-6, f"input {i}"
 
     def test_cross_entropy(self, rng):
         logits = rng.standard_normal((1, 3, 4, 4))

@@ -150,6 +150,21 @@ class TestForward:
         assert rc != 0
 
 
+    def test_meta_without_width_exits_2(self, small_config, scene_dir, tmp_path,
+                                        capsys):
+        import os
+
+        meta = os.path.join(scene_dir, "meta")
+        with open(meta) as fh:
+            kept = [ln for ln in fh if not ln.startswith("width=")]
+        with open(meta, "w") as fh:
+            fh.writelines(kept)
+        rc = main(["forward", "--config", small_config, "--scene", scene_dir,
+                   "--out", str(tmp_path / "x.eift")])
+        assert rc == 2
+        assert "'width'" in capsys.readouterr().err
+
+
 class TestGradcheck:
     def test_single_module_passes(self, capsys):
         rc = main(["gradcheck", "--module", "marm", "--seed", "1"])

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from evifuse import ops
 from evifuse.fusion import (
     differential_attention, efficient_cross_attention, enhance, fuse,
     fusion_forward, gate, init_fusion_params,
 )
 from evifuse.params import ParamStore, make_rng
-from evifuse.tensor import ShapeError, Tensor
+from evifuse.tensor import (
+    NonFiniteError, ShapeError, Tape, Tensor, matmul, reshape, transpose, tsum,
+)
 
 from _oracles import attention_naive, differential_attention_naive, pool2d_naive
 
@@ -113,6 +116,117 @@ class TestDifferentialAttention:
         with pytest.raises(ShapeError):
             differential_attention(rand_t(rng, (1, 3, 4, 4)),
                                    rand_t(rng, (1, 3, 4, 4)), p)
+
+
+def _composed_diff_attention(q1, q2, k1, k2, v, lam):
+    """The unfused tape composition: two softmaxes, a difference, a matmul."""
+    scale = 1.0 / np.sqrt(q1.shape[-1])
+    a1 = ops.softmax(matmul(q1, transpose(k1, (0, 1, 3, 2))) * scale, axis=-1)
+    a2 = ops.softmax(matmul(q2, transpose(k2, (0, 1, 3, 2))) * scale, axis=-1)
+    return matmul(a1 - a2 * reshape(lam, (1, lam.shape[0], 1, 1)), v)
+
+
+def _diff_inputs(rng, b, h, n, nk, d, dtype=np.float64):
+    arrays = [rng.standard_normal(s).astype(dtype)
+              for s in [(b, h, n, d)] * 2 + [(b, h, nk, d)] * 3]
+    return arrays + [rng.uniform(0.1, 1.0, h).astype(dtype)]
+
+
+def _three_row_blocks(monkeypatch, b, h, nk, itemsize=8):
+    monkeypatch.setattr(ops, "_ATTN_BLOCK_BYTES", 3 * b * h * nk * itemsize)
+    assert ops._block_rows(b * h, nk, itemsize) == 3
+
+
+class TestFusedDiffAttention:
+    # (B, heads, N, Nk, d): N is never a multiple of the 3-row block and
+    # Nk differs from N
+    SHAPES = [(1, 2, 7, 5, 3), (2, 1, 11, 4, 2), (1, 2, 8, 13, 4), (2, 2, 10, 3, 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_naive_oracle_over_blocks(self, shape, monkeypatch):
+        b, h, n, nk, d = shape
+        _three_row_blocks(monkeypatch, b, h, nk)
+        arrays = _diff_inputs(np.random.default_rng(n * 100 + nk), b, h, n, nk, d)
+        got = ops.diff_attention(*(Tensor(a) for a in arrays)).data
+        np.testing.assert_allclose(got, differential_attention_naive(*arrays),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_single_softmax_case_matches_naive_oracle(self, shape, monkeypatch):
+        b, h, n, nk, d = shape
+        _three_row_blocks(monkeypatch, b, h, nk)
+        q, _, k, _, v, _ = _diff_inputs(np.random.default_rng(n + nk), b, h, n, nk, d)
+        got = ops.attention_core(Tensor(q), Tensor(k), Tensor(v)).data
+        np.testing.assert_allclose(got, attention_naive(q, k, v), rtol=0, atol=1e-12)
+
+    def test_agrees_with_composed_path_float64(self):
+        # large enough that the real byte budget cuts N into ragged blocks
+        b, h, n, nk, d = 1, 2, 300, 500, 8
+        rows = ops._block_rows(b * h, nk, 8)
+        assert rows < n and n % rows
+        rng = np.random.default_rng(11)
+        arrays = _diff_inputs(rng, b, h, n, nk, d)
+        probe = Tensor(rng.standard_normal((b, h, n, d)))
+        results = []
+        for op in (ops.diff_attention, _composed_diff_attention):
+            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+            with Tape() as tape:
+                out = op(*inputs)
+                total = tsum(out * probe)
+            tape.backward(total)
+            results.append((out.data, [t.grad for t in inputs]))
+        (fused, fused_grads), (composed, composed_grads) = results
+        np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
+        for gf, gc in zip(fused_grads, composed_grads):
+            np.testing.assert_allclose(gf, gc, rtol=0, atol=1e-12)
+
+    def test_one_tape_record_in_input_dtype(self, rng):
+        inputs = [Tensor(a, requires_grad=True)
+                  for a in _diff_inputs(rng, 1, 2, 6, 5, 4, np.float32)]
+        with Tape() as tape:
+            out = ops.diff_attention(*inputs)
+            total = tsum(out)
+        assert len(tape) == 2  # the attention record and the sum
+        assert out.dtype == np.float32
+        tape.backward(total)
+        assert all(t.grad.dtype == np.float32 for t in inputs)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1)])
+    def test_overflowing_scores_raise_like_composed_path(self, signs, monkeypatch):
+        # q.k of 4 * 1e40 overflows float32: +Inf, -Inf or, with mixed signs
+        # along d, Inf - Inf = NaN; one bad row, inside the second block
+        _three_row_blocks(monkeypatch, 1, 2, 5, itemsize=4)
+        q = np.ones((1, 2, 7, 4), dtype=np.float32)
+        k = np.ones((1, 2, 5, 4), dtype=np.float32)
+        q[0, 1, 4] = 1e20
+        k[0, 1, 2] = signs[0] * 1e20
+        k[0, 1, 2, :2] *= signs[1]
+        lam = Tensor(np.full(2, 0.8, dtype=np.float32))
+        qt, kt = Tensor(q), Tensor(k)
+        with pytest.raises(NonFiniteError):
+            _composed_diff_attention(qt, qt, kt, kt, kt, lam)
+        with pytest.raises(NonFiniteError):
+            ops.diff_attention(qt, qt, kt, kt, kt, lam)
+        with pytest.raises(NonFiniteError):
+            ops.attention_core(qt, kt, kt)
+
+    def test_large_finite_scores_pass_like_composed_path(self):
+        q = Tensor(np.full((1, 1, 3, 4), 1e18, dtype=np.float32))
+        k = Tensor(np.full((1, 1, 2, 4), 1e18, dtype=np.float32))
+        lam = Tensor(np.full(1, 0.8, dtype=np.float32))
+        composed = _composed_diff_attention(q, q, k, k, k, lam).data
+        np.testing.assert_allclose(ops.diff_attention(q, q, k, k, k, lam).data,
+                                   composed, rtol=1e-6)
+
+    def test_branch_and_lambda_shapes_checked(self, rng):
+        q1, q2, k1, k2, v, lam = (Tensor(a) for a in _diff_inputs(rng, 1, 2, 3, 3, 2))
+        with pytest.raises(ShapeError):
+            ops.diff_attention(q1, q2, k1, k2, v, Tensor(np.ones(3)))
+        with pytest.raises(ShapeError):
+            ops.diff_attention(q1, Tensor(q2.data[:, :, :2]), k1, k2, v, lam)
+        with pytest.raises(ShapeError):
+            ops.diff_attention(q1, q2, k1, Tensor(k2.data[:, :1]), v, lam)
 
 
 class TestEfficientCrossAttention:

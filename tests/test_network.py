@@ -217,6 +217,31 @@ class TestModelForward:
         assert a.shape == (1, 3, 32, 32)
         assert np.array_equal(a.data, b.data)
 
+    def test_float32_model_returns_float32_logits(self):
+        cfg = small_config()
+        scene = synth_scene(2, (32, 32), 2, 1.0, cfg.window_us)
+        from evifuse.network import encode_scene
+
+        logits = Model(cfg).forward_encoded(scene.image, encode_scene(scene, cfg))
+        assert logits.dtype == np.float32
+
+    def test_float64_model_reaches_float32_image(self):
+        # forward_encoded converts the float32 image; the gradient must
+        # flow back through that conversion
+        from evifuse.network import encode_scene
+        from evifuse.tensor import Tape
+
+        cfg = small_config()
+        scene = synth_scene(2, (32, 32), 2, 1.0, cfg.window_us)
+        image = Tensor(scene.image.data, requires_grad=True)
+        with Tape() as tape:
+            logits = Model(cfg, dtype=np.float64).forward_encoded(
+                image, encode_scene(scene, cfg))
+            loss = loss_ce(logits, scene.labels)
+        tape.backward(loss)
+        assert image.grad is not None and image.grad.dtype == np.float32
+        assert np.abs(image.grad).max() > 0
+
     def test_dim_mismatch_rejected(self, rng):
         cfg = small_config()
         model = Model(cfg)

@@ -5,7 +5,8 @@ import pytest
 
 from evifuse.events import serialize_events
 from evifuse.synth import (
-    SceneObject, load_scene, motion_events, save_scene, synth_scene,
+    SceneFormatError, SceneObject, load_scene, motion_events, save_scene,
+    synth_scene,
 )
 
 
@@ -131,6 +132,24 @@ class TestSceneIO:
         assert np.array_equal(back.labels.data, scene.labels.data)
         assert back.class_count == scene.class_count
         assert back.window_us == scene.window_us
+
+    @pytest.mark.parametrize("key", ["height", "width", "classes", "window_us",
+                                     "seed", "objects", "noise_rate"])
+    def test_missing_meta_key_named(self, tmp_path, key):
+        save_scene(tmp_path, synth_scene(4, (32, 32), 1, 0.5, 10000))
+        meta = tmp_path / "meta"
+        lines = meta.read_text().splitlines()
+        meta.write_text("".join(f"{ln}\n" for ln in lines
+                                if not ln.startswith(f"{key}=")))
+        with pytest.raises(SceneFormatError, match=repr(key)):
+            load_scene(tmp_path)
+
+    def test_malformed_meta_value_named(self, tmp_path):
+        save_scene(tmp_path, synth_scene(4, (32, 32), 1, 0.5, 10000))
+        meta = tmp_path / "meta"
+        meta.write_text(meta.read_text().replace("height=32", "height=3x2"))
+        with pytest.raises(SceneFormatError, match="'height'"):
+            load_scene(tmp_path)
 
     def test_save_twice_byte_identical(self, tmp_path):
         scene = synth_scene(4, (64, 64), 2, 1.0, 25000)

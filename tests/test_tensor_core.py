@@ -232,6 +232,14 @@ class TestResample:
         expected = src * 2.0 + 1.0
         np.testing.assert_allclose(out.data[0, 0, 0], expected, atol=1e-6)
 
+    def test_cached_interp_matrix_is_read_only(self):
+        m = ops._interp_matrix(4, 9, "bilinear", np.float64)
+        before = m.copy()
+        with pytest.raises(ValueError):
+            m[0, 0] = 5.0
+        np.testing.assert_array_equal(
+            ops._interp_matrix(4, 9, "bilinear", np.float64), before)
+
     def test_downsample_shape(self, rng):
         out = ops.resample(t(rng.standard_normal((1, 1, 21, 21))), (16, 16))
         assert out.shape == (1, 1, 16, 16)
