@@ -6,7 +6,7 @@ verifiable against finite differences. See the README for the CLI.
 """
 
 from .encoding import EncodedEvents, encode, encode_empty, kernel_k, normalize_time
-from .events import Event, EventParseError, EventWindow, parse_events, serialize_events, window
+from .events import EventParseError, Events, EventWindow, parse_events, serialize_events, window
 from .fusion import (
     FusionParams, differential_attention, efficient_cross_attention,
     enhance, fuse, fusion_forward, gate, init_fusion_params,

@@ -6,17 +6,17 @@ internal validations passing. Times are microseconds throughout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import sys
 
 import numpy as np
 
-from . import gradcheck as gradcheck_mod
 from .encoding import encode
 from .events import EventParseError, parse_events, window
 from .network import (
-    ConfigError, Model, NetworkConfig, TrainingDiverged, config_from_dict,
-    encode_scene, load_config, metrics, train_toy,
+    ConfigError, Model, NetworkConfig, TrainingDiverged, encode_scene,
+    load_config, metrics, train_toy,
 )
 from .synth import load_scene, save_scene, synth_scene
 from .tensor import Tensor
@@ -86,12 +86,7 @@ def cmd_forward(args):
 
 
 def cmd_gradcheck(args):
-    if args.self_test_corrupt:
-        gradcheck_mod._CORRUPT_ANALYTIC = True
-    try:
-        results = run_checks(args.module, seed=args.seed)
-    finally:
-        gradcheck_mod._CORRUPT_ANALYTIC = False
+    results = run_checks(args.module, seed=args.seed)
     failed = False
     print(f"{'module':<10} {'worst group':<28} {'max rel err':>12}  status")
     for name, rows in results.items():
@@ -125,7 +120,8 @@ def cmd_ablate(args):
     print(f"{'aefrm':<6} {'marm':<6} {'mgfm':<6} {'final loss':>12} "
           f"{'mIoU':>8} {'PA':>8}")
     for use_aefrm, use_marm, use_mgfm in itertools.product((False, True), repeat=3):
-        cfg = config_from_dict(_config_dict(base, use_aefrm, use_marm, use_mgfm))
+        cfg = dataclasses.replace(base, use_aefrm=use_aefrm, use_marm=use_marm,
+                                  use_mgfm=use_mgfm)
         _, history, miou, pa = train_toy(scene, cfg, args.steps, args.lr)
         print(f"{_mark(use_aefrm):<6} {_mark(use_marm):<6} {_mark(use_mgfm):<6} "
               f"{history[-1]:>12.4f} {miou:>8.4f} {pa:>8.4f}")
@@ -134,18 +130,6 @@ def cmd_ablate(args):
 
 def _mark(flag):
     return "on" if flag else "off"
-
-
-def _config_dict(cfg, use_aefrm, use_marm, use_mgfm):
-    return {
-        "height": cfg.height, "width": cfg.width, "classes": cfg.classes,
-        "image_widths": cfg.image_widths, "event_widths": cfg.event_widths,
-        "heads": cfg.heads, "reduction": cfg.reduction,
-        "decoder_width": cfg.decoder_width, "refine_width": cfg.refine_width,
-        "seed": cfg.seed,
-        "toggles": {"aefrm": use_aefrm, "marm": use_marm, "mgfm": use_mgfm},
-        "encoding": {"bins": cfg.bins, "window_us": cfg.window_us},
-    }
 
 
 def cmd_sweep_duration(args):
@@ -215,8 +199,6 @@ def build_parser():
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--module", choices=CLI_CHOICES, default="all")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--self-test-corrupt", action="store_true",
-                   dest="self_test_corrupt", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="overfit one scene with gradient descent")

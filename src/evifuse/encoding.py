@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventWindow, events_to_arrays
+from .events import EventWindow
 from .tensor import Tensor
 
 
@@ -61,28 +61,27 @@ def encode(win, bins):
     a_cm = np.zeros(bins * h * w, dtype=np.float64)
 
     if win.count:
-        t_us, xs, ys, ps = events_to_arrays(win.events)
         if bins == 1:
-            tstar = np.zeros(len(t_us), dtype=np.float64)
+            tstar = np.zeros(win.count, dtype=np.float64)
         else:
             tstar = (
                 (bins - 1)
-                * (t_us - win.t_start_us).astype(np.float64)
+                * (win.t_us - win.t_start_us).astype(np.float64)
                 / float(win.t_end_us - win.t_start_us)
             )
         lo = np.floor(tstar).astype(np.int64)
         frac = tstar - lo
         w_lo = 1.0 - frac
         w_hi = frac
-        base = ys * w + xs
+        base = win.y * w + win.x
         n = bins * h * w
         idx_lo = lo * (h * w) + base
-        e_vt += np.bincount(idx_lo, weights=ps * w_lo, minlength=n)
+        e_vt += np.bincount(idx_lo, weights=win.p * w_lo, minlength=n)
         a_cm += np.bincount(idx_lo, weights=w_lo, minlength=n)
         hi_valid = lo + 1 <= bins - 1
         if hi_valid.any():
             idx_hi = (lo[hi_valid] + 1) * (h * w) + base[hi_valid]
-            e_vt += np.bincount(idx_hi, weights=(ps * w_hi)[hi_valid], minlength=n)
+            e_vt += np.bincount(idx_hi, weights=(win.p * w_hi)[hi_valid], minlength=n)
             a_cm += np.bincount(idx_hi, weights=w_hi[hi_valid], minlength=n)
 
     shape = (bins, h, w)
@@ -97,6 +96,5 @@ def encode(win, bins):
 
 def encode_empty(dims, bins, t_start_us=0, t_end_us=1):
     """All-zero encoding with the right shape, for streams with no events."""
-    h, w = dims
-    win = EventWindow((), t_start_us, t_end_us, h, w)
-    return encode(win, bins)
+    empty = np.zeros(0, dtype=np.int64)
+    return encode(EventWindow(empty, empty, empty, empty, t_start_us, t_end_us, *dims), bins)

@@ -8,11 +8,11 @@ starting with '#' are skipped.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
+
+_COLUMNS = ("t_us", "x", "y", "p")
 
 
 class EventParseError(ValueError):
@@ -23,19 +23,37 @@ class EventParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class Event:
-    t_us: int
-    x: int
-    y: int
-    p: int  # -1 or +1
+class Events:
+    """An event stream as four int64 columns ``t_us``, ``x``, ``y``, ``p`` (+-1).
+
+    The constructor stable-sorts the columns by timestamp (input order breaks
+    ties) and makes them read-only, because windows are views into them.
+    """
+
+    __slots__ = _COLUMNS
+
+    def __init__(self, t_us, x, y, p):
+        cols = [np.asarray(c, dtype=np.int64) for c in (t_us, x, y, p)]
+        if any(c.ndim != 1 or len(c) != len(cols[0]) for c in cols):
+            raise ValueError("event columns must be 1-D and of equal length")
+        order = np.argsort(cols[0], kind="stable")
+        for name, col in zip(_COLUMNS, cols):
+            col = col[order]
+            col.flags.writeable = False
+            setattr(self, name, col)
+
+    def __len__(self):
+        return len(self.t_us)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventWindow:
-    """Events with t_start_us <= t_us < t_end_us, sorted ascending by time."""
+    """Column views of the events with t_start_us <= t_us < t_end_us."""
 
-    events: tuple
+    t_us: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    p: np.ndarray
     t_start_us: int
     t_end_us: int
     height: int
@@ -43,7 +61,7 @@ class EventWindow:
 
     @property
     def count(self):
-        return len(self.events)
+        return len(self.t_us)
 
     @property
     def duration_us(self):
@@ -51,13 +69,13 @@ class EventWindow:
 
 
 def parse_events(stream, dims):
-    """Parse and validate a CSV event stream; returns events sorted by time.
+    """Parse and validate a CSV event stream into time-sorted ``Events``.
 
     ``stream`` is an iterable of text lines; ``dims`` is (height, width).
     The stable sort by timestamp is the canonical event order.
     """
     height, width = dims
-    events = []
+    ts, xs, ys, ps = cols = ([], [], [], [])
     for line_no, line in enumerate(stream, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -71,6 +89,8 @@ def parse_events(stream, dims):
             raise EventParseError(line_no, f"non-numeric field in {text!r}") from None
         if t_us < 0:
             raise EventParseError(line_no, f"negative timestamp {t_us}")
+        if t_us >= 2**63:
+            raise EventParseError(line_no, f"timestamp {t_us} does not fit in int64")
         if not 0 <= x < width:
             raise EventParseError(line_no, f"x={x} outside [0, {width})")
         if not 0 <= y < height:
@@ -79,41 +99,28 @@ def parse_events(stream, dims):
             p = -1
         if p not in (-1, 1):
             raise EventParseError(line_no, f"polarity {p} not in {{-1, 0, 1}}")
-        events.append(Event(t_us, x, y, p))
-    events.sort(key=lambda e: e.t_us)  # stable: file order breaks ties
-    return events
+        ts.append(t_us)
+        xs.append(x)
+        ys.append(y)
+        ps.append(p)
+    return Events(*cols)
 
 
 def serialize_events(events):
-    """Inverse of parse_events for valid event lists."""
-    return "".join(f"{e.t_us},{e.x},{e.y},{e.p}\n" for e in events)
+    """Inverse of parse_events: one ``t_us,x,y,p`` line per event, in order."""
+    rows = zip(*(getattr(events, name).tolist() for name in _COLUMNS))
+    return "".join(f"{t},{x},{y},{p}\n" for t, x, y, p in rows)
 
 
 def window(events, t_end_us, duration_us, dims):
-    """Events in the half-open interval [t_end_us - duration_us, t_end_us)."""
+    """Events in the half-open interval [t_end_us - duration_us, t_end_us).
+
+    ``events`` holds time-sorted columns (``Events`` or an ``EventWindow``);
+    the window's columns are views into them.
+    """
     if duration_us <= 0:
         raise ValueError("window duration must be positive")
-    height, width = dims
     t_start = t_end_us - duration_us
-    stamps = [e.t_us for e in events]
-    lo = bisect.bisect_left(stamps, t_start)
-    hi = bisect.bisect_left(stamps, t_end_us)
-    return EventWindow(
-        events=tuple(events[lo:hi]),
-        t_start_us=t_start,
-        t_end_us=t_end_us,
-        height=height,
-        width=width,
-    )
-
-
-def events_to_arrays(events):
-    """Columns (t_us, x, y, p) as int64 arrays; convenience for encoding."""
-    if not events:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z.copy(), z.copy(), z.copy()
-    n = len(events)
-    return tuple(
-        np.fromiter(map(attrgetter(field), events), dtype=np.int64, count=n)
-        for field in ("t_us", "x", "y", "p")
-    )
+    lo, hi = np.searchsorted(events.t_us, [t_start, t_end_us], side="left")
+    return EventWindow(*(getattr(events, name)[lo:hi] for name in _COLUMNS),
+                       t_start, t_end_us, *dims)

@@ -14,10 +14,6 @@ from .tensor import ShapeError, Tape, Tensor
 
 DEFAULT_EPSILON = 1e-6
 
-# self-test hook: when True the analytic gradient is deliberately skewed so
-# harness failure paths can be exercised end to end
-_CORRUPT_ANALYTIC = False
-
 
 def _scalar_value(t):
     if t.size != 1:
@@ -29,8 +25,6 @@ def _max_rel_error(analytic, point_data, eval_fn, epsilon):
     """Central differences against an analytic gradient, coordinate-wise."""
     flat = point_data.reshape(-1)
     a = analytic.reshape(-1)
-    if _CORRUPT_ANALYTIC:
-        a = a + 1e-2
     worst = 0.0
     for i in range(flat.size):
         orig = flat[i]

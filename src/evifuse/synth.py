@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import Event, parse_events, serialize_events
+from .events import Events, parse_events, serialize_events
 from .tensor import Tensor
 from .tensorio import read_tensor, write_tensor
 
@@ -42,7 +42,7 @@ class SceneObject:
 
 @dataclass
 class SyntheticScene:
-    events: list
+    events: Events
     image: Tensor  # [3, H, W]
     labels: Tensor  # [H, W] class ids, background 0
     class_count: int
@@ -82,8 +82,7 @@ def render_color(objects, t_ms, dims):
     frame = np.full((3, h, w), BACKGROUND, dtype=np.float64)
     for obj in objects:
         r, c = object_origin(obj, t_ms, dims)
-        for ch in range(3):
-            frame[ch, r : r + obj.height, c : c + obj.width] = obj.color[ch]
+        frame[:, r : r + obj.height, c : c + obj.width] = np.reshape(obj.color, (3, 1, 1))
     return frame
 
 
@@ -98,17 +97,16 @@ def render_labels(objects, t_ms, dims):
 
 def motion_events(objects, dims, duration_ms):
     """Frame-difference events, one pass per integer millisecond step."""
-    events = []
+    steps = [(np.zeros(0, dtype=np.int64),) * 4]
     prev = render_brightness(objects, 0, dims)
     for t in range(1, duration_ms + 1):
         cur = render_brightness(objects, t, dims)
         diff = cur - prev
         ys, xs = np.nonzero(diff)
         t_us = t * 1000 - 500  # step midpoint keeps stamps inside the window
-        for y, x in zip(ys.tolist(), xs.tolist()):
-            events.append(Event(t_us, x, y, 1 if diff[y, x] > 0 else -1))
+        steps.append((np.full(len(ys), t_us), xs, ys, np.where(diff[ys, xs] > 0, 1, -1)))
         prev = cur
-    return events
+    return Events(*(np.concatenate(col) for col in zip(*steps)))
 
 
 def synth_scene(seed, dims, n_objects, noise_rate, window_us, max_speed=0.4):
@@ -141,25 +139,17 @@ def synth_scene(seed, dims, n_objects, noise_rate, window_us, max_speed=0.4):
             SceneObject(x0, y0, ow, oh, vx, vy, class_id=k + 1, color=tuple(color))
         )
 
-    events = motion_events(objects, (h, w), duration_ms)
-
+    motion = motion_events(objects, (h, w), duration_ms)
     n_noise = int(round(noise_rate * duration_ms))
-    if n_noise:
-        ts = rng.integers(0, window_us, size=n_noise)
-        xs = rng.integers(0, w, size=n_noise)
-        ys = rng.integers(0, h, size=n_noise)
-        ps = rng.choice(np.array([-1, 1]), size=n_noise)
-        events.extend(
-            Event(int(t), int(x), int(y), int(p))
-            for t, x, y, p in zip(ts, xs, ys, ps)
-        )
-    events.sort(key=lambda e: e.t_us)
+    noise = (rng.integers(0, window_us, size=n_noise), rng.integers(0, w, size=n_noise),
+             rng.integers(0, h, size=n_noise), rng.choice(np.array([-1, 1]), size=n_noise))
+    columns = (motion.t_us, motion.x, motion.y, motion.p)
+    events = Events(*(np.concatenate(pair) for pair in zip(columns, noise)))
 
-    final = duration_ms
     return SyntheticScene(
         events=events,
-        image=Tensor(render_color(objects, final, (h, w)).astype(np.float32)),
-        labels=Tensor(render_labels(objects, final, (h, w)).astype(np.float32)),
+        image=Tensor(render_color(objects, duration_ms, (h, w)).astype(np.float32)),
+        labels=Tensor(render_labels(objects, duration_ms, (h, w)).astype(np.float32)),
         class_count=n_objects + 1,
         height=h,
         width=w,
@@ -195,7 +185,7 @@ def save_scene(directory, scene):
 
 
 class SceneFormatError(ValueError):
-    """A scene directory's meta file lacks a key or holds a malformed value."""
+    """A meta key is missing or malformed, or the image or labels do not fit the meta."""
 
 
 _META_TYPES = {
@@ -205,14 +195,9 @@ _META_TYPES = {
 
 
 def _read_meta(path):
-    raw = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            raw[key] = value
+        pairs = (line.strip().partition("=") for line in fh if line.strip())
+        raw = {key: value for key, _, value in pairs}
     meta = {}
     for key, kind in _META_TYPES.items():
         if key not in raw:
@@ -227,14 +212,23 @@ def _read_meta(path):
 
 def load_scene(directory):
     meta = _read_meta(os.path.join(directory, "meta"))
-    height, width = meta["height"], meta["width"]
+    height, width, classes = meta["height"], meta["width"], meta["classes"]
     with open(os.path.join(directory, "events.csv")) as fh:
         events = parse_events(fh, (height, width))
+    image = read_tensor(os.path.join(directory, "image.eift"))
+    labels = read_tensor(os.path.join(directory, "labels.eift"))
+    for name, t, shape in (("image", image, (3, height, width)),
+                           ("labels", labels, (height, width))):
+        if t.shape != shape:
+            raise SceneFormatError(f"{directory}: {name} shape {t.shape} is not {shape}")
+    ids = labels.data
+    if not ((ids == np.floor(ids)) & (ids >= 0) & (ids < classes)).all():
+        raise SceneFormatError(f"{directory}: labels are not class ids in [0, {classes})")
     return SyntheticScene(
         events=events,
-        image=read_tensor(os.path.join(directory, "image.eift")),
-        labels=read_tensor(os.path.join(directory, "labels.eift")),
-        class_count=meta["classes"],
+        image=image,
+        labels=labels,
+        class_count=classes,
         height=height,
         width=width,
         window_us=meta["window_us"],

@@ -13,6 +13,7 @@ an error state, never silently propagated.
 
 from __future__ import annotations
 
+import contextvars
 import math
 
 import numpy as np
@@ -147,22 +148,20 @@ class Tape:
 
     Single-writer: one pass owns one tape. Use as a context manager; ops
     executed inside record themselves when any input requires gradients.
+    The active tape is per thread, so concurrent passes do not interfere.
     """
 
     def __init__(self):
         self._records = []  # (out, inputs, backward_fn)
         self._consumed = False
-        self._prev = None
+        self._token = None
 
     def __enter__(self):
-        global _ACTIVE_TAPE
-        self._prev = _ACTIVE_TAPE
-        _ACTIVE_TAPE = self
+        self._token = _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, *exc):
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = self._prev
+        _ACTIVE_TAPE.reset(self._token)
         return False
 
     def __len__(self):
@@ -197,7 +196,8 @@ class Tape:
                     inp.accumulate_grad(gin)
 
 
-_ACTIVE_TAPE = None
+# per thread (and per asyncio task): one thread's tape never sees another's ops
+_ACTIVE_TAPE = contextvars.ContextVar("evifuse_active_tape", default=None)
 
 
 def backward(tape, output):
@@ -208,7 +208,7 @@ def backward(tape, output):
 def _make(out_data, inputs, backward_fn):
     """Wrap an op result; record on the active tape when gradients flow."""
     out = Tensor(out_data)
-    tape = _ACTIVE_TAPE
+    tape = _ACTIVE_TAPE.get()
     if tape is not None and any(
         isinstance(x, Tensor) and x.requires_grad for x in inputs
     ):

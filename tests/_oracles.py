@@ -6,8 +6,19 @@ checked against a genuinely different computation path.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
+
+from evifuse.events import EventParseError
+
+Event = namedtuple("Event", "t_us x y p")
+
+
+def rows(events):
+    """Per-event ``Event`` tuples of anything holding the four event columns."""
+    return [Event(*row) for row in zip(events.t_us.tolist(), events.x.tolist(),
+                                       events.y.tolist(), events.p.tolist())]
 
 
 def conv2d_naive(x, w, b, stride, pad):
@@ -110,11 +121,45 @@ def differential_attention_naive(q1, q2, k1, k2, v, lam):
     return out
 
 
+def parse_events_naive(stream, dims):
+    """Line scan building one ``Event`` per line, then a stable sort by time.
+
+    It raises the package's ``EventParseError`` type (an interface, not
+    shared logic) so that line numbers and messages compare directly.
+    """
+    height, width = dims
+    events = []
+    for line_no, line in enumerate(stream, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        fields = text.split(",")
+        if len(fields) != 4:
+            raise EventParseError(line_no, f"expected 4 fields, got {len(fields)}")
+        try:
+            t_us, x, y, p = (int(f.strip()) for f in fields)
+        except ValueError:
+            raise EventParseError(line_no, f"non-numeric field in {text!r}") from None
+        if t_us < 0:
+            raise EventParseError(line_no, f"negative timestamp {t_us}")
+        if not 0 <= x < width:
+            raise EventParseError(line_no, f"x={x} outside [0, {width})")
+        if not 0 <= y < height:
+            raise EventParseError(line_no, f"y={y} outside [0, {height})")
+        if p == 0:
+            p = -1
+        if p not in (-1, 1):
+            raise EventParseError(line_no, f"polarity {p} not in {{-1, 0, 1}}")
+        events.append(Event(t_us, x, y, p))
+    events.sort(key=lambda e: e.t_us)  # stable: file order breaks ties
+    return events
+
+
 def encode_naive(events, t_start, t_end, bins, height, width):
     """Per-event, per-bin accumulation straight from the kernel definition."""
     e_vt = np.zeros((bins, height, width), dtype=np.float64)
     a_cm = np.zeros((bins, height, width), dtype=np.float64)
-    for ev in events:
+    for ev in rows(events):
         if bins == 1:
             tstar = 0.0
         else:
@@ -128,7 +173,7 @@ def encode_naive(events, t_start, t_end, bins, height, width):
 
 def window_naive(events, t_end, duration):
     lo = t_end - duration
-    return [e for e in events if lo <= e.t_us < t_end]
+    return [e for e in rows(events) if lo <= e.t_us < t_end]
 
 
 def cross_entropy_naive(logits, labels, ignore_id=None):

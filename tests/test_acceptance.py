@@ -12,7 +12,7 @@ import pytest
 
 from evifuse import ops
 from evifuse.encoding import encode
-from evifuse.events import Event, EventWindow, window
+from evifuse.events import Events, EventWindow, window
 from evifuse.fusion import enhance, fuse, gate, init_fusion_params
 from evifuse.network import Model, NetworkConfig, train_toy
 from evifuse.params import ParamStore, make_rng
@@ -77,13 +77,9 @@ def test_criterion_1_oracle_equivalence():
         rng = np.random.default_rng(3000 + seed)
         bins = int(rng.integers(1, 5))
         n = int(rng.integers(50, 300))
-        events = [
-            Event(int(t), int(x), int(y), int(p))
-            for t, x, y, p in zip(
-                rng.integers(0, 10000, n), rng.integers(0, 12, n),
-                rng.integers(0, 10, n), rng.choice([-1, 1], n))
-        ]
-        win = EventWindow(tuple(sorted(events, key=lambda e: e.t_us)), 0, 10000, 10, 12)
+        events = Events(rng.integers(0, 10000, n), rng.integers(0, 12, n),
+                        rng.integers(0, 10, n), rng.choice([-1, 1], n))
+        win = EventWindow(events.t_us, events.x, events.y, events.p, 0, 10000, 10, 12)
         enc = encode(win, bins)
         e_ref, a_ref = encode_naive(events, 0, 10000, bins, 10, 12)
         worst["encode"] = max(
@@ -167,26 +163,21 @@ def test_criterion_3_exact_identities(rng):
 def test_criterion_4_encoding_invariants(rng):
     failures = []
     n = 3000
-    events = [
-        Event(int(t), int(x), int(y), int(p))
-        for t, x, y, p in zip(
-            rng.integers(0, 50000, n), rng.integers(0, 16, n),
-            rng.integers(0, 16, n), rng.choice([-1, 1], n))
-    ]
-    win = EventWindow(tuple(sorted(events, key=lambda e: e.t_us)), 0, 50000, 16, 16)
+    columns = (rng.integers(0, 50000, n), rng.integers(0, 16, n),
+               rng.integers(0, 16, n), rng.choice([-1, 1], n))
+    events = Events(*columns)
+    win = EventWindow(events.t_us, events.x, events.y, events.p, 0, 50000, 16, 16)
     enc = encode(win, 3)
 
-    flipped = EventWindow(tuple(Event(e.t_us, e.x, e.y, -e.p) for e in win.events),
-                          0, 50000, 16, 16)
+    flipped = EventWindow(win.t_us, win.x, win.y, -win.p, 0, 50000, 16, 16)
     enc_f = encode(flipped, 3)
     if not np.array_equal(enc.e_vt.data, -enc_f.e_vt.data):
         failures.append("polarity antisymmetry broken")
     if not np.array_equal(enc.a_cm.data, enc_f.a_cm.data):
         failures.append("activity changed under polarity flip")
 
-    shuffled = list(events)
-    rng.shuffle(shuffled)
-    enc_s = encode(EventWindow(tuple(shuffled), 0, 50000, 16, 16), 3)
+    perm = rng.permutation(n)  # handed to encode out of time order
+    enc_s = encode(EventWindow(*(c[perm] for c in columns), 0, 50000, 16, 16), 3)
     if not np.array_equal(enc.e_vt.data, enc_s.e_vt.data):
         failures.append("permutation invariance broken")
 
@@ -195,7 +186,7 @@ def test_criterion_4_encoding_invariants(rng):
     if not (np.abs(enc.e_vt.data) <= enc.a_cm.data + 1e-6).all():
         failures.append("|projection| exceeds activity")
 
-    one = encode(EventWindow((Event(25000, 4, 7, 1),), 0, 50000, 16, 16), 3)
+    one = encode(window(Events([25000], [4], [7], [1]), 50000, 50000, (16, 16)), 3)
     if one.e_vt.data[1, 7, 4] != 1.0 or one.a_cm.data.sum() != 1.0:
         failures.append("bin-center event does not contribute exactly 1.0")
 
@@ -263,13 +254,8 @@ def test_criterion_8_throughput_soft_target():
     rng = np.random.default_rng(0)
     n = 1_000_000
     h, w = 260, 346  # 346x260 sensor crop
-    events = [
-        Event(int(t), int(x), int(y), int(p))
-        for t, x, y, p in zip(
-            np.sort(rng.integers(0, 50000, n)), rng.integers(0, w, n),
-            rng.integers(0, h, n), rng.choice([-1, 1], n))
-    ]
-    win = EventWindow(tuple(events), 0, 50000, h, w)
+    win = EventWindow(np.sort(rng.integers(0, 50000, n)), rng.integers(0, w, n),
+                      rng.integers(0, h, n), rng.choice([-1, 1], n), 0, 50000, h, w)
     encode(win, 3)  # warm-up
     t0 = time.time()
     enc = encode(win, 3)

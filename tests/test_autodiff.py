@@ -1,10 +1,12 @@
 """Tape semantics and finite-difference verification of every adjoint."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from evifuse import ops
-from evifuse.gradcheck import check_input, finite_difference_check
+from evifuse.gradcheck import check_input, check_param, finite_difference_check
 from evifuse.tensor import (
     ShapeError, Tape, TapeConsumedError, Tensor, backward, concat, matmul,
     narrow, tmax, tmean, transpose, tsum,
@@ -98,6 +100,37 @@ class TestTapeSemantics:
             grads = backward_fn(np.ones_like(out.data))
             assert all(g.dtype == np.float32 for g in grads if g is not None)
 
+    def test_tape_is_per_thread(self):
+        # A enters and leaves its tape while B is inside its own; B's ops
+        # must still record on B's tape
+        barrier = threading.Barrier(2, timeout=30)
+        grads = {}
+
+        def thread_a():
+            with Tape():
+                barrier.wait()  # 1: A is inside its tape
+                barrier.wait()  # 2: B is inside its tape
+            barrier.wait()  # 3: A has left
+
+        def thread_b():
+            x = t64(np.ones(3), requires_grad=True)
+            barrier.wait()  # 1
+            with Tape() as tape:
+                barrier.wait()  # 2
+                barrier.wait()  # 3
+                y = tsum(x * 3.0)
+            tape.backward(y)
+            grads["b"] = x.grad
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert grads["b"] is not None
+        np.testing.assert_array_equal(grads["b"], [3.0, 3.0, 3.0])
+
     def test_module_level_backward_alias(self, rng):
         x = t64(rng.standard_normal(3), requires_grad=True)
         with Tape() as tape:
@@ -125,6 +158,25 @@ class TestFiniteDifferenceCheck:
     def test_rejects_non_scalar_target(self, rng):
         with pytest.raises(ShapeError):
             finite_difference_check(lambda v: v * 2.0, t64(rng.standard_normal(3)))
+
+    # tsum(y * Tensor(y.data)) treats the second factor as a constant, so its
+    # analytic gradient is half the true one: a wrong backward the checks
+    # must catch
+    def test_halved_gradient_fails_finite_difference_check(self, rng):
+        point = t64(rng.uniform(0.5, 2.0, 6))
+        err = finite_difference_check(lambda v: tsum(v * Tensor(v.data)), point)
+        assert err >= 0.1
+
+    def test_halved_gradient_fails_check_param(self, rng):
+        w = t64(rng.uniform(0.5, 2.0, 6), requires_grad=True)
+        x = t64(rng.standard_normal(6))
+
+        def forward():
+            y = ops.sigmoid(w * x)
+            return tsum(y * Tensor(y.data))
+
+        assert check_param(forward, w) >= 0.1
+        assert check_param(lambda: tsum(ops.sigmoid(w * x)), w) < 1e-6
 
 
 def _fd(f, point):

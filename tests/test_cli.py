@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from evifuse.cli import main
-from evifuse.tensorio import read_tensor
+from evifuse.tensor import Tensor
+from evifuse.tensorio import read_tensor, write_tensor
 
 SMALL_CONFIG = {
     "height": 32, "width": 32, "classes": 3,
@@ -164,6 +165,19 @@ class TestForward:
         assert rc == 2
         assert "'width'" in capsys.readouterr().err
 
+    def test_label_out_of_range_exits_2(self, small_config, scene_dir, tmp_path,
+                                        capsys):
+        import os
+
+        path = os.path.join(scene_dir, "labels.eift")
+        labels = read_tensor(path).data.copy()
+        labels[0, 0] = 3.0  # the scene has classes 0..2
+        write_tensor(path, Tensor(labels))
+        rc = main(["forward", "--config", small_config, "--scene", scene_dir,
+                   "--out", str(tmp_path / "x.eift")])
+        assert rc == 2
+        assert "class ids in [0, 3)" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_single_module_passes(self, capsys):
@@ -172,9 +186,19 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "marm" in out and "ok" in out
 
-    def test_corrupted_backward_fails(self, capsys):
-        rc = main(["gradcheck", "--module", "marm", "--seed", "1",
-                   "--self-test-corrupt"])
+    def test_corrupted_backward_fails(self, capsys, monkeypatch):
+        # an untaped self-product halves the analytic gradient of the
+        # recalibrated events, so the real check must report FAIL
+        import evifuse.verify as verify
+
+        real = verify.recalibrate
+
+        def corrupted(ev, im, params):
+            ev_rec, im_rec = real(ev, im, params)
+            return ev_rec * Tensor(ev_rec.data), im_rec
+
+        monkeypatch.setattr(verify, "recalibrate", corrupted)
+        rc = main(["gradcheck", "--module", "marm", "--seed", "1"])
         assert rc != 0
         assert "FAIL" in capsys.readouterr().out
 

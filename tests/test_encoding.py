@@ -4,28 +4,26 @@ import numpy as np
 import pytest
 
 from evifuse.encoding import encode, encode_empty, kernel_k, normalize_time
-from evifuse.events import Event, EventWindow
+from evifuse.events import Events, EventWindow
 
-from _oracles import encode_naive
+from _oracles import encode_naive, rows
 
 DIMS = (16, 16)
+NO_EVENTS = Events([], [], [], [])
 
 
 def make_window(events, t_start=0, t_end=50000, dims=DIMS):
-    return EventWindow(tuple(sorted(events, key=lambda e: e.t_us)),
+    return EventWindow(events.t_us, events.x, events.y, events.p,
                        t_start, t_end, dims[0], dims[1])
 
 
 def random_events(rng, n, t_start=0, t_end=50000, dims=DIMS):
-    return [
-        Event(int(t), int(x), int(y), int(p))
-        for t, x, y, p in zip(
-            rng.integers(t_start, t_end, n),
-            rng.integers(0, dims[1], n),
-            rng.integers(0, dims[0], n),
-            rng.choice([-1, 1], n),
-        )
-    ]
+    return Events(
+        rng.integers(t_start, t_end, n),
+        rng.integers(0, dims[1], n),
+        rng.integers(0, dims[0], n),
+        rng.choice([-1, 1], n),
+    )
 
 
 class TestKernel:
@@ -44,26 +42,26 @@ class TestKernel:
 
 class TestNormalizeTime:
     def test_midpoint_three_bins(self):
-        win = make_window([], 0, 50000)
+        win = make_window(NO_EVENTS, 0, 50000)
         assert normalize_time(25000, win, 3) == pytest.approx(1.0)
 
     def test_window_start(self):
-        win = make_window([], 0, 50000)
+        win = make_window(NO_EVENTS, 0, 50000)
         assert normalize_time(0, win, 3) == 0.0
 
     def test_just_before_end(self):
         d = 50000
-        win = make_window([], 0, d)
+        win = make_window(NO_EVENTS, 0, d)
         expected = 2 * (d - 1) / d
         assert normalize_time(d - 1, win, 3) == pytest.approx(expected)
         assert normalize_time(d - 1, win, 3) < 2.0
 
     def test_single_bin_is_zero(self):
-        win = make_window([], 0, 50000)
+        win = make_window(NO_EVENTS, 0, 50000)
         assert normalize_time(49999, win, 1) == 0.0
 
     def test_outside_window_rejected(self):
-        win = make_window([], 1000, 2000)
+        win = make_window(NO_EVENTS, 1000, 2000)
         with pytest.raises(ValueError):
             normalize_time(2000, win, 3)
         with pytest.raises(ValueError):
@@ -73,7 +71,7 @@ class TestNormalizeTime:
 class TestEncode:
     def test_event_at_bin_center(self):
         # t* = 1.0 exactly: all mass lands in bin 1
-        win = make_window([Event(25000, 4, 7, 1)], 0, 50000)
+        win = make_window(Events([25000], [4], [7], [1]), 0, 50000)
         enc = encode(win, 3)
         assert enc.e_vt.data[1, 7, 4] == 1.0
         assert enc.e_vt.data[0, 7, 4] == 0.0
@@ -82,20 +80,20 @@ class TestEncode:
 
     def test_event_between_bins_splits_mass(self):
         # t* = 0.5: half to bin 0, half to bin 1
-        win = make_window([Event(12500, 3, 2, 1)], 0, 50000)
+        win = make_window(Events([12500], [3], [2], [1]), 0, 50000)
         enc = encode(win, 3)
         assert enc.e_vt.data[0, 2, 3] == pytest.approx(0.5)
         assert enc.e_vt.data[1, 2, 3] == pytest.approx(0.5)
         assert enc.e_vt.data[2, 2, 3] == 0.0
 
     def test_opposite_polarities_cancel_in_projection(self):
-        events = [Event(25000, 5, 5, 1), Event(25000, 5, 5, -1)]
+        events = Events([25000, 25000], [5, 5], [5, 5], [1, -1])
         enc = encode(make_window(events), 3)
         assert enc.e_vt.data[:, 5, 5] == pytest.approx([0.0, 0.0, 0.0])
         assert enc.a_cm.data[1, 5, 5] == pytest.approx(2.0)
 
     def test_empty_window_is_all_zeros(self):
-        enc = encode(make_window([]), 3)
+        enc = encode(make_window(NO_EVENTS), 3)
         assert enc.e_vt.data.shape == (3, 16, 16)
         assert not enc.e_vt.data.any()
         assert not enc.a_cm.data.any()
@@ -125,18 +123,20 @@ class TestEncode:
 class TestEncodingInvariants:
     def test_polarity_antisymmetry(self, rng):
         events = random_events(rng, 2000)
-        flipped = [Event(e.t_us, e.x, e.y, -e.p) for e in events]
+        flipped = Events(events.t_us, events.x, events.y, -events.p)
         a = encode(make_window(events), 3)
         b = encode(make_window(flipped), 3)
         np.testing.assert_array_equal(a.e_vt.data, -b.e_vt.data)
         np.testing.assert_array_equal(a.a_cm.data, b.a_cm.data)
 
     def test_permutation_invariance(self, rng):
+        # the shuffled window is handed to encode out of time order
         events = random_events(rng, 2000)
-        shuffled = list(events)
-        rng.shuffle(shuffled)
+        perm = rng.permutation(len(events))
+        shuffled = EventWindow(events.t_us[perm], events.x[perm], events.y[perm],
+                               events.p[perm], 0, 50000, *DIMS)
         a = encode(make_window(events), 3)
-        b = encode(make_window(shuffled), 3)
+        b = encode(shuffled, 3)
         np.testing.assert_array_equal(a.e_vt.data, b.e_vt.data)
         np.testing.assert_array_equal(a.a_cm.data, b.a_cm.data)
 
@@ -146,7 +146,7 @@ class TestEncodingInvariants:
         enc = encode(win, 3)
         direct = sum(
             kernel_k(c - normalize_time(e.t_us, win, 3))
-            for e in events
+            for e in rows(events)
             for c in range(3)
         )
         assert float(enc.a_cm.data.sum()) == pytest.approx(direct, rel=1e-5)
@@ -164,7 +164,7 @@ class TestEncodingInvariants:
         enc = encode(make_window(events), 1)
         counts = np.zeros((1, *DIMS))
         signed = np.zeros((1, *DIMS))
-        for e in events:
+        for e in rows(events):
             counts[0, e.y, e.x] += 1
             signed[0, e.y, e.x] += e.p
         np.testing.assert_allclose(enc.a_cm.data, counts, atol=1e-6)
@@ -172,4 +172,4 @@ class TestEncodingInvariants:
 
     def test_rejects_bad_bins(self):
         with pytest.raises(ValueError):
-            encode(make_window([]), 0)
+            encode(make_window(NO_EVENTS), 0)

@@ -4,37 +4,73 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evifuse.events import (
-    Event, EventParseError, parse_events, serialize_events, window,
+    EventParseError, Events, parse_events, serialize_events, window,
 )
 from evifuse.tensor import Tensor
 from evifuse.tensorio import TensorFormatError, read_tensor, write_tensor
 
-from _oracles import window_naive
+from _oracles import Event, parse_events_naive, rows, window_naive
 
 DIMS = (10, 10)
+NO_EVENTS = Events([], [], [], [])
 
 
 def parse(text, dims=DIMS):
     return parse_events(io.StringIO(text), dims)
 
 
+def csv_text(events):
+    return "".join(f"{e.t_us},{e.x},{e.y},{e.p}\n" for e in events)
+
+
+class TestEvents:
+    def test_columns_are_stably_sorted_read_only_int64(self):
+        events = Events([30, 10, 30, 10], [1, 2, 3, 4], [5, 6, 7, 8], [1, -1, -1, 1])
+        assert len(events) == 4
+        assert rows(events) == [Event(10, 2, 6, -1), Event(10, 4, 8, 1),
+                                Event(30, 1, 5, 1), Event(30, 3, 7, -1)]
+        for col in (events.t_us, events.x, events.y, events.p):
+            assert col.dtype == np.int64 and not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 0
+
+    def test_caller_arrays_are_not_aliased(self):
+        t = np.array([20, 10], dtype=np.int64)
+        events = Events(t, [0, 1], [0, 1], [1, 1])
+        t[0] = 99
+        assert events.t_us.tolist() == [10, 20]
+        assert t.flags.writeable
+
+    @pytest.mark.parametrize("cols", [
+        ([1, 2], [0], [0, 0], [1, 1]),
+        ([1, 2], [0, 0], [0, 0], [1, 1, 1]),
+        ([[1, 2]], [[0, 0]], [[0, 0]], [[1, 1]]),
+    ])
+    def test_ragged_or_2d_columns_rejected(self, cols):
+        with pytest.raises(ValueError, match="equal length"):
+            Events(*cols)
+
+
 class TestParse:
     def test_single_line(self):
         events = parse("1000,2,3,1\n")
-        assert events == [Event(1000, 2, 3, 1)]
+        assert rows(events) == [Event(1000, 2, 3, 1)]
+        assert all(getattr(events, c).dtype == np.int64 for c in Event._fields)
 
     def test_zero_polarity_maps_to_minus_one(self):
-        assert parse("5,0,0,0\n")[0].p == -1
+        assert parse("5,0,0,0\n").p[0] == -1
 
     def test_skips_blanks_and_comments(self):
         events = parse("# header\n\n10,1,1,1\n   \n20,2,2,-1\n")
-        assert [e.t_us for e in events] == [10, 20]
+        assert events.t_us.tolist() == [10, 20]
 
     def test_sorts_by_timestamp(self):
         events = parse("30,1,1,1\n10,2,2,1\n20,3,3,1\n")
-        assert [e.t_us for e in events] == [10, 20, 30]
+        assert events.t_us.tolist() == [10, 20, 30]
 
     def test_shuffled_equals_presorted(self, rng):
         # unique stamps: the canonical order is stable-by-timestamp only
@@ -50,13 +86,13 @@ class TestParse:
         ]
         shuffled = list(base)
         rng.shuffle(shuffled)
-        sorted_events = parse(serialize_events(sorted(base, key=lambda e: e.t_us)))
-        shuffled_events = parse(serialize_events(shuffled))
-        assert sorted_events == shuffled_events
+        sorted_events = parse(csv_text(sorted(base, key=lambda e: e.t_us)))
+        shuffled_events = parse(csv_text(shuffled))
+        assert rows(sorted_events) == rows(shuffled_events)
 
     def test_parse_serialize_roundtrip(self, rng):
         events = parse("10,1,1,1\n20,2,2,-1\n20,3,3,1\n")
-        assert parse(serialize_events(events)) == events
+        assert rows(parse(serialize_events(events))) == rows(events)
 
     def test_bad_field_count_reports_line(self):
         with pytest.raises(EventParseError, match="line 2"):
@@ -80,18 +116,75 @@ class TestParse:
         with pytest.raises(EventParseError, match="polarity"):
             parse("5,1,1,3\n")
 
+    def test_timestamp_beyond_int64_rejected(self):
+        parse(f"{2**63 - 1},1,1,1\n")
+        with pytest.raises(EventParseError, match="line 2: timestamp .* int64"):
+            parse(f"10,1,1,1\n{2**63},1,1,1\n")
+
+
+# CSV lines for the differential parser test: valid events (a narrow stamp
+# range makes ties common), skipped lines, and lines with one odd field or
+# with 3 or 5 fields, which the grammar must accept or reject exactly as the
+# line-scan oracle does.
+_FIELDS = st.tuples(
+    st.integers(0, 40), st.integers(0, 9), st.integers(0, 9), st.sampled_from([-1, 0, 1]),
+).map(lambda row: [str(v) for v in row])
+_VALID_LINE = st.builds(lambda fields, pad: f"{pad}{','.join(fields)}{pad}",
+                        _FIELDS, st.sampled_from(["", " ", "\t"]))
+_SKIPPED_LINE = st.sampled_from(["", "   ", "# header", "  # indented", "#1,2,3,4"])
+_ODD_FIELD = st.sampled_from([
+    "-1", "-5", "10", "12", "0", "2",  # negative stamps, x/y out of range, polarity 0 and 2
+    "+5", " 5 ", "1_000", "1.0", "1 # c", "", "abc", "-0",
+])
+
+
+def _odd_line(fields, i, odd, n_fields):
+    fields = fields[:i] + [odd] + fields[i + 1:]
+    return ",".join(fields[:3] if n_fields == 3 else fields + [odd] * (n_fields - 4))
+
+
+_ODD_LINE = st.builds(_odd_line, _FIELDS, st.integers(0, 3), _ODD_FIELD,
+                      st.sampled_from([4, 4, 4, 4, 4, 4, 3, 5]))
+_LINE = st.integers(0, 5).flatmap(  # one line in six is odd, so many texts parse
+    lambda k: _ODD_LINE if k == 0 else _SKIPPED_LINE if k == 1 else _VALID_LINE)
+_CSV_TEXT = st.lists(_LINE, max_size=12).map(lambda lines: "".join(f"{ln}\n" for ln in lines))
+
+
+class TestParseFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(_CSV_TEXT)
+    def test_matches_line_scan_oracle(self, text):
+        try:
+            expected = parse_events_naive(io.StringIO(text), DIMS)
+        except EventParseError as exc:
+            with pytest.raises(EventParseError) as got:
+                parse(text)
+            assert got.value.line_no == exc.line_no
+            assert str(got.value) == str(exc)
+        else:
+            assert rows(parse(text)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 9),
+                              st.integers(0, 9), st.sampled_from([-1, 1]))))
+    def test_serialize_parse_roundtrip(self, table):
+        events = Events(*(np.array(table, dtype=np.int64).reshape(-1, 4).T))
+        text = serialize_events(events)
+        assert text == csv_text(rows(events))
+        assert rows(parse(text)) == rows(events)
+
 
 class TestWindow:
     def test_half_open_boundaries(self):
         events = parse("10,1,1,1\n60,2,2,1\n110,3,3,1\n")
         win = window(events, t_end_us=100, duration_us=50, dims=DIMS)
-        assert [e.t_us for e in win.events] == [60]
+        assert win.t_us.tolist() == [60]
         assert win.t_start_us == 50 and win.t_end_us == 100
 
     def test_start_included_end_excluded(self):
         events = parse("50,1,1,1\n100,2,2,1\n")
         win = window(events, 100, 50, DIMS)
-        assert [e.t_us for e in win.events] == [50]
+        assert win.t_us.tolist() == [50]
 
     def test_covers_everything(self):
         events = parse("10,1,1,1\n60,2,2,1\n110,3,3,1\n")
@@ -99,29 +192,35 @@ class TestWindow:
         assert win.count == 3
 
     def test_empty_window_is_valid(self):
-        win = window([], 100, 50, DIMS)
+        win = window(NO_EVENTS, 100, 50, DIMS)
         assert win.count == 0
 
+    def test_columns_are_views(self):
+        events = parse("10,1,1,1\n60,2,2,1\n110,3,3,1\n")
+        win = window(events, 100, 50, DIMS)
+        for name in Event._fields:
+            assert np.shares_memory(getattr(win, name), getattr(events, name))
+
     def test_matches_linear_scan(self, rng):
-        events = sorted(
-            (Event(int(t), 0, 0, 1) for t in rng.integers(0, 100000, 10000)),
-            key=lambda e: e.t_us,
-        )
+        n = 10000
+        events = Events(rng.integers(0, 100000, n), np.zeros(n), np.zeros(n), np.ones(n))
         for _ in range(25):
             t_end = int(rng.integers(1, 120000))
             duration = int(rng.integers(1, 60000))
             win = window(events, t_end, duration, DIMS)
-            assert list(win.events) == window_naive(events, t_end, duration)
+            assert rows(win) == window_naive(events, t_end, duration)
 
     def test_idempotent(self, rng):
         events = parse("10,1,1,1\n60,2,2,1\n90,3,3,1\n")
         win = window(events, 100, 80, DIMS)
-        again = window(list(win.events), win.t_end_us, win.duration_us, DIMS)
-        assert again == win
+        again = window(win, win.t_end_us, win.duration_us, DIMS)
+        assert rows(again) == rows(win)
+        bounds = ("t_start_us", "t_end_us", "height", "width")
+        assert [getattr(again, b) for b in bounds] == [getattr(win, b) for b in bounds]
 
     def test_duration_must_be_positive(self):
         with pytest.raises(ValueError):
-            window([], 100, 0, DIMS)
+            window(NO_EVENTS, 100, 0, DIMS)
 
 
 class TestTensorDump:

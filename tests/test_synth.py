@@ -8,6 +8,10 @@ from evifuse.synth import (
     SceneFormatError, SceneObject, load_scene, motion_events, save_scene,
     synth_scene,
 )
+from evifuse.tensor import Tensor
+from evifuse.tensorio import read_tensor, write_tensor
+
+from _oracles import rows
 
 
 class TestSynthScene:
@@ -26,7 +30,7 @@ class TestSynthScene:
     def test_frozen_scene_has_no_events(self):
         scene = synth_scene(5, (64, 64), 3, noise_rate=0.0, window_us=20000,
                             max_speed=0.0)
-        assert scene.events == []
+        assert len(scene.events) == 0
 
     def test_noise_count_matches_rate(self):
         scene = synth_scene(5, (64, 64), 1, noise_rate=2.0, window_us=20000,
@@ -43,14 +47,14 @@ class TestSynthScene:
 
     def test_events_inside_bounds_and_window(self):
         scene = synth_scene(11, (64, 64), 2, 3.0, 40000)
-        for e in scene.events:
+        for e in rows(scene.events):
             assert 0 <= e.x < 64 and 0 <= e.y < 64
             assert 0 <= e.t_us < 40000
             assert e.p in (-1, 1)
 
     def test_events_sorted(self):
         scene = synth_scene(13, (64, 64), 2, 3.0, 40000)
-        stamps = [e.t_us for e in scene.events]
+        stamps = scene.events.t_us.tolist()
         assert stamps == sorted(stamps)
 
     @pytest.mark.parametrize("dims", [(60, 60), (31, 32), (32, 33)])
@@ -71,15 +75,15 @@ class TestMotionEvents:
                           class_id=1, color=(0.9, 0.9, 0.9))
         events = motion_events([obj], (64, 64), duration_ms=10)
         assert len(events) == 2 * obj.height * 10
-        pos = sum(1 for e in events if e.p == 1)
-        neg = sum(1 for e in events if e.p == -1)
+        pos = sum(1 for e in rows(events) if e.p == 1)
+        neg = sum(1 for e in rows(events) if e.p == -1)
         assert pos == neg == obj.height * 10
 
     def test_polarity_sign_matches_brightness_change(self):
         bright = SceneObject(5.0, 5.0, 4, 4, 1.0, 0.0, 1, (0.9, 0.9, 0.9))
         events = motion_events([bright], (64, 64), duration_ms=1)
-        leading = [e for e in events if e.p == 1]
-        trailing = [e for e in events if e.p == -1]
+        leading = [e for e in rows(events) if e.p == 1]
+        trailing = [e for e in rows(events) if e.p == -1]
         assert {e.x for e in leading} == {9}    # newly covered column: 6..9
         assert {e.x for e in trailing} == {5}   # exposed background column
 
@@ -87,12 +91,12 @@ class TestMotionEvents:
         obj = SceneObject(x0=58.0, y0=10.0, width=6, height=4, vx=1.0, vy=0.0,
                           class_id=1, color=(0.9, 0.9, 0.9))
         events = motion_events([obj], (64, 64), duration_ms=10)
-        assert events == []  # starts pinned at the right wall
+        assert len(events) == 0  # starts pinned at the right wall
 
     def test_stamps_fall_inside_window(self):
         obj = SceneObject(10.0, 10.0, 4, 4, 1.0, 0.0, 1, (0.9, 0.9, 0.9))
         events = motion_events([obj], (64, 64), duration_ms=5)
-        assert all(0 <= e.t_us < 5000 for e in events)
+        assert all(0 <= e.t_us < 5000 for e in rows(events))
 
     def test_events_match_direct_frame_differencing(self, rng):
         # every emitted event must correspond to a brightness change between
@@ -107,7 +111,7 @@ class TestMotionEvents:
         duration = 12
         events = motion_events(objs, (64, 64), duration)
         by_step = {}
-        for e in events:
+        for e in rows(events):
             step = (e.t_us + 500) // 1000
             by_step.setdefault(step, set()).add((e.y, e.x, e.p))
         for step in range(1, duration + 1):
@@ -127,7 +131,7 @@ class TestSceneIO:
         for name in ("events.csv", "image.eift", "labels.eift", "meta"):
             assert (tmp_path / "scene" / name).exists()
         back = load_scene(tmp_path / "scene")
-        assert back.events == scene.events
+        assert rows(back.events) == rows(scene.events)
         assert np.array_equal(back.image.data, scene.image.data)
         assert np.array_equal(back.labels.data, scene.labels.data)
         assert back.class_count == scene.class_count
@@ -150,6 +154,32 @@ class TestSceneIO:
         meta.write_text(meta.read_text().replace("height=32", "height=3x2"))
         with pytest.raises(SceneFormatError, match="'height'"):
             load_scene(tmp_path)
+
+    @pytest.mark.parametrize("name, shape", [
+        ("image.eift", (3, 32, 64)), ("image.eift", (32, 32)),
+        ("labels.eift", (32, 64)), ("labels.eift", (1, 32, 32)),
+    ])
+    def test_tensor_shape_must_fit_meta(self, tmp_path, name, shape):
+        save_scene(tmp_path, synth_scene(4, (32, 32), 1, 0.5, 10000))
+        write_tensor(tmp_path / name, Tensor(np.zeros(shape, dtype=np.float32)))
+        with pytest.raises(SceneFormatError, match=f"{name[:-5]} shape"):
+            load_scene(tmp_path)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.5, 1.5, 2.0, 7.0])
+    def test_label_must_be_class_id(self, tmp_path, bad):
+        save_scene(tmp_path, synth_scene(4, (32, 32), 1, 0.5, 10000))  # classes=2
+        labels = read_tensor(tmp_path / "labels.eift").data.copy()
+        labels[5, 7] = bad
+        write_tensor(tmp_path / "labels.eift", Tensor(labels))
+        with pytest.raises(SceneFormatError, match=r"class ids in \[0, 2\)"):
+            load_scene(tmp_path)
+
+    def test_every_class_id_accepted(self, tmp_path):
+        save_scene(tmp_path, synth_scene(4, (32, 32), 1, 0.5, 10000))
+        labels = np.zeros((32, 32), dtype=np.float32)
+        labels[0, :2] = [0.0, 1.0]
+        write_tensor(tmp_path / "labels.eift", Tensor(labels))
+        assert np.array_equal(load_scene(tmp_path).labels.data, labels)
 
     def test_save_twice_byte_identical(self, tmp_path):
         scene = synth_scene(4, (64, 64), 2, 1.0, 25000)
