@@ -8,6 +8,7 @@ starting with '#' are skipped.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,12 +72,90 @@ class EventWindow:
 def parse_events(stream, dims):
     """Parse and validate a CSV event stream into time-sorted ``Events``.
 
-    ``stream`` is an iterable of text lines; ``dims`` is (height, width).
-    The stable sort by timestamp is the canonical event order.
+    ``stream`` is a text stream with ``\\n`` line ends (an open text file or a
+    ``StringIO``); ``dims`` is (height, width). It is read in blocks of whole
+    lines. numpy checks and converts a block of canonical lines (``#`` at
+    column 0, or four ``-?[0-9]+`` fields of at most 18 characters); any other
+    block goes through the line scan, which defines the grammar and reports
+    the first bad line. The stable sort by timestamp is the canonical event
+    order.
     """
+    parts, line_no = [], 1
+    for text in _line_blocks(stream):
+        cols = _parse_canonical(text, dims)
+        parts.append(_scan_lines(text, line_no, dims) if cols is None else cols)
+        line_no += text.count("\n")
+    columns = [np.concatenate(c) for c in zip(*parts)] if parts else _NO_COLUMNS
+    del parts  # free the block columns before Events makes its sorted copies
+    return Events(*columns)
+
+
+_PARSE_BLOCK_BYTES = 256 * 1024  # characters read per block; peak memory scales with it
+_NO_COLUMNS = (np.empty(0, dtype=np.int64),) * 4
+_COMMENT_LINE = re.compile(r"^#.*\n", re.MULTILINE)
+_DIGIT, _MINUS, _COMMA, _NEWLINE = 1, 2, 3, 4  # separators last: class >= _COMMA
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)  # 0: a byte no canonical event line holds
+_BYTE_CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = _DIGIT
+_BYTE_CLASS[[ord("-"), ord(","), ord("\n")]] = _MINUS, _COMMA, _NEWLINE
+
+
+def _line_blocks(stream):
+    """Texts of whole lines read from ``stream``, the last one possibly unended."""
+    pending = []
+    while chunk := stream.read(_PARSE_BLOCK_BYTES):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield "".join(pending) + chunk[:cut]
+            pending = []
+        pending.append(chunk[cut:])
+    if tail := "".join(pending):
+        yield tail
+
+
+def _parse_canonical(text, dims):
+    """Columns of a block of canonical, valid lines, or None for the line scan.
+
+    A canonical event line is four ``-?[0-9]+`` fields of at most 18
+    characters, which cannot overflow int64, joined by "," and ended by
+    "\\n". Any other form of a line, and any value out of range, returns None.
+    """
+    if not text.endswith("\n"):
+        text += "\n"
+    if "#" in text:  # drop the "#" lines; any other "#" fails the byte classes
+        text = _COMMENT_LINE.sub("", text)
+        if not text:
+            return _NO_COLUMNS
+    try:
+        buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    cls = np.take(_BYTE_CLASS, buf)
+    seps = np.flatnonzero(cls >= _COMMA)
+    newlines = np.flatnonzero(cls == _NEWLINE)
+    if not cls.all() or len(seps) != 4 * len(newlines) \
+            or not np.array_equal(seps[3::4], newlines):
+        return None  # a byte outside the classes, or not three commas per line
+    widths = np.diff(seps, prepend=-1) - 1
+    minus = np.flatnonzero(cls == _MINUS)  # cls[-1], a newline, stands before byte 0
+    if widths.min() < 1 or widths.max() > 18 or (cls[minus - 1] < _COMMA).any() \
+            or (cls[minus + 1] != _DIGIT).any():
+        return None  # an empty or long field, or a minus sign not leading a number
+    joined = buf.copy()
+    joined[newlines] = ord(",")
+    values = np.fromstring(joined[:-1].tobytes(), dtype=np.int64, sep=",").reshape(-1, 4)
+    height, width = dims
+    if (values.min(axis=0) < (0, 0, 0, -1)).any() \
+            or (values.max(axis=0)[1:] > (width - 1, height - 1, 1)).any():
+        return None  # a negative stamp, x or y off the sensor, or p not in {-1, 0, 1}
+    t_us, x, y, p = values.T
+    return t_us, x, y, np.where(p == 0, -1, p)
+
+
+def _scan_lines(block, line_no, dims):
+    """Line-by-line parse of ``block``, whose first line is number ``line_no``."""
     height, width = dims
     ts, xs, ys, ps = cols = ([], [], [], [])
-    for line_no, line in enumerate(stream, start=1):
+    for line_no, line in enumerate(block.split("\n"), start=line_no):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -103,7 +182,7 @@ def parse_events(stream, dims):
         xs.append(x)
         ys.append(y)
         ps.append(p)
-    return Events(*cols)
+    return [np.array(c, dtype=np.int64) for c in cols]
 
 
 def serialize_events(events):

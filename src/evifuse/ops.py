@@ -17,6 +17,7 @@ Conventions fixed here:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -288,15 +289,9 @@ def layernorm_channels(x, gamma, beta, eps=EPS_NORM):
 # resampling
 
 
-_INTERP_CACHE = {}
-
-
+@functools.lru_cache(maxsize=64)
 def _interp_matrix(src, dst, mode, dtype):
     """[dst, src] row-stochastic interpolation matrix along one axis."""
-    key = (src, dst, mode, dtype)
-    cached = _INTERP_CACHE.get(key)
-    if cached is not None:
-        return cached
     m = np.zeros((dst, src), dtype=dtype)
     scale = src / dst
     if mode == "nearest":
@@ -312,7 +307,6 @@ def _interp_matrix(src, dst, mode, dtype):
         np.add.at(m, (rows, lo), 1.0 - frac)
         np.add.at(m, (rows, hi), frac)
     m.setflags(write=False)  # shared by every caller
-    _INTERP_CACHE[key] = m
     return m
 
 

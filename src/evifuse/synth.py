@@ -195,9 +195,12 @@ _META_TYPES = {
 
 
 def _read_meta(path):
-    with open(path) as fh:
-        pairs = (line.strip().partition("=") for line in fh if line.strip())
-        raw = {key: value for key, _, value in pairs}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            pairs = (line.strip().partition("=") for line in fh if line.strip())
+            raw = {key: value for key, _, value in pairs}
+    except UnicodeDecodeError as exc:
+        raise SceneFormatError(f"{path}: not a text file ({exc.reason})") from None
     meta = {}
     for key, kind in _META_TYPES.items():
         if key not in raw:

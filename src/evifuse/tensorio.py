@@ -64,5 +64,9 @@ def read_tensor(path):
         raise TensorFormatError(
             f"{path}: payload holds {(len(raw) - offset) // 4} values, header says {count}"
         )
-    data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-    return Tensor(data.reshape(dims).astype(np.float32))
+    data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(dims)
+    finite = np.isfinite(data)
+    if not finite.all():
+        index = tuple(int(i) for i in np.unravel_index(np.argmin(finite), dims))
+        raise TensorFormatError(f"{path}: non-finite value {data[index]} at index {index}")
+    return Tensor(data.astype(np.float32))

@@ -165,6 +165,18 @@ class TestForward:
         assert rc == 2
         assert "'width'" in capsys.readouterr().err
 
+    def test_non_finite_label_exits_2(self, small_config, scene_dir, tmp_path, capsys):
+        import os
+
+        path = os.path.join(scene_dir, "labels.eift")
+        labels = read_tensor(path).data.copy()
+        labels[3, 5] = np.nan
+        write_tensor(path, labels)
+        rc = main(["forward", "--config", small_config, "--scene", scene_dir,
+                   "--out", str(tmp_path / "x.eift")])
+        assert rc == 2
+        assert "labels.eift: non-finite value nan at index (3, 5)" in capsys.readouterr().err
+
     def test_label_out_of_range_exits_2(self, small_config, scene_dir, tmp_path,
                                         capsys):
         import os

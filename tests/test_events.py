@@ -1,12 +1,15 @@
 """Event parsing, windowing and the binary tensor dump format."""
 
 import io
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evifuse import events as events_module
 from evifuse.events import (
     EventParseError, Events, parse_events, serialize_events, window,
 )
@@ -25,6 +28,19 @@ def parse(text, dims=DIMS):
 
 def csv_text(events):
     return "".join(f"{e.t_us},{e.x},{e.y},{e.p}\n" for e in events)
+
+
+def assert_matches_oracle(text, dims=DIMS):
+    """parse() gives the oracle's rows, or its error with the same line and message."""
+    try:
+        expected = parse_events_naive(io.StringIO(text), dims)
+    except EventParseError as exc:
+        with pytest.raises(EventParseError) as got:
+            parse(text, dims)
+        assert got.value.line_no == exc.line_no
+        assert str(got.value) == str(exc)
+    else:
+        assert rows(parse(text, dims)) == expected
 
 
 class TestEvents:
@@ -122,6 +138,96 @@ class TestParse:
             parse(f"10,1,1,1\n{2**63},1,1,1\n")
 
 
+# Canonical event lines, which the numpy path accepts (as it does "#" lines
+# at column 0): valid events whose fields have at most 18 characters.
+CANONICAL = "".join(f"{t},{t % 10},{t % 7},{t % 3 - 1}\n" for t in range(0, 400, 13))
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 24 characters, so that blocks cut through lines."""
+    monkeypatch.setattr(events_module, "_PARSE_BLOCK_BYTES", 24)
+
+
+def no_line_scan(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the line scan ran on canonical text")
+    monkeypatch.setattr(events_module, "_scan_lines", fail)
+
+
+class TestParseBlocks:
+    @pytest.mark.parametrize("bad", [
+        "500,10,1,1", "500,1,1,2", "-500,1,1,1", "5x0,1,1,1", "500,1,1", "500,1,1,1,1",
+        "500,1,1,1\u00e9", "500,1,1,1,", "500,1,1,1 # note", "500,1,1,-2",
+        "500,1,1,1,1\n500,1,1",  # 5 + 3 fields: four commas per line on average
+        "500,1#c\n,1,1",  # a "#" off column 0 is no comment
+    ])
+    def test_error_in_later_block_matches_oracle(self, small_blocks, bad):
+        text = CANONICAL + f"{bad}\n" + CANONICAL
+        with pytest.raises(EventParseError) as got:
+            parse(text)
+        assert got.value.line_no == CANONICAL.count("\n") + 1
+        assert_matches_oracle(text)
+
+    def test_int64_overflow_in_later_block(self, small_blocks):
+        line_no = CANONICAL.count("\n") + 1
+        with pytest.raises(EventParseError, match=f"^line {line_no}: timestamp {2**63} does"):
+            parse(CANONICAL + f"{2**63},1,1,1\n" + CANONICAL)
+
+    def test_first_bad_line_wins_across_blocks(self, small_blocks):
+        text = CANONICAL + "1,1,1,1,1\n" + CANONICAL + "1,99,1,1\n"
+        with pytest.raises(EventParseError, match="expected 4 fields"):
+            parse(text)
+        assert_matches_oracle(text)
+
+    @pytest.mark.parametrize("odd", [
+        "+5,1,1,1", " 5 ,1,1,1", "1_000,1,1,1", "", "   ", "  # indented", "7,2,2,+1",
+        "\t7,2,2,0", "7,2,2,1\r", "0007,02,2,-0", f"{2**63 - 1},3,3,1", "-0,1,1,1",
+    ])
+    def test_non_canonical_line_in_middle_block_matches_oracle(self, small_blocks, odd):
+        text = CANONICAL + f"{odd}\n" + CANONICAL
+        assert_matches_oracle(text)
+        assert len(parse(text)) == 2 * len(CANONICAL.splitlines()) + (
+            0 if not odd.strip() or odd.strip().startswith("#") else 1)
+
+    @pytest.mark.parametrize("block", [24, 1 << 18])
+    def test_final_line_without_newline(self, monkeypatch, block):
+        monkeypatch.setattr(events_module, "_PARSE_BLOCK_BYTES", block)
+        for last in ("999,4,5,0", f"{2**63 - 1},4,5,1", "# trailing comment"):
+            text = CANONICAL + last
+            assert_matches_oracle(text)
+        events = parse(CANONICAL + f"{2**63 - 1},4,5,1")
+        assert events.t_us[-1] == 2**63 - 1 and events.t_us.dtype == np.int64
+
+    @pytest.mark.parametrize("block", [24, 1 << 18])
+    def test_fast_path_parses_canonical_text(self, monkeypatch, block):
+        monkeypatch.setattr(events_module, "_PARSE_BLOCK_BYTES", block)
+        text = "# t_us,x,y,p header\n" + CANONICAL + "#c\n# caf\u00e9\n" + CANONICAL + "1,1,1,-1\n"
+        expected = parse_events_naive(io.StringIO(text), DIMS)
+        no_line_scan(monkeypatch)
+        assert rows(parse(text)) == expected
+        assert len(parse("# only a comment\n")) == 0
+        assert len(parse("")) == 0
+
+    @pytest.mark.parametrize("block", [24, 1 << 18])
+    def test_bounds_on_a_non_square_sensor(self, monkeypatch, block):
+        monkeypatch.setattr(events_module, "_PARSE_BLOCK_BYTES", block)
+        dims = (4, 7)  # height, width
+        corner = "".join(f"{t},{t % 7},{t % 4},1\n" for t in range(0, 400, 13)) + "9,6,3,1\n"
+        for text in (corner, corner + "9,3,6,1\n", corner + "9,7,3,1\n", corner + "9,6,4,1\n"):
+            assert_matches_oracle(text, dims)
+        with pytest.raises(EventParseError, match="y=6 outside"):
+            parse(corner + "9,3,6,1\n", dims)
+
+    def test_fast_path_rejects_what_it_must(self, monkeypatch):
+        no_line_scan(monkeypatch)
+        for line in ("+5,1,1,1", "5,1,1,1 ", "", "1234567890123456789,1,1,1", "5,1,1,1\r",
+                     " # c", "5,-,1,1", "5,1-1,1,1", "5,--1,1,1", "5,1,1,3", "5,1,1,-2",
+                     "5,10,1,1", "5,1,1,1,1\n5,1,1", "5,1#c\n,1,1"):
+            with pytest.raises(AssertionError, match="line scan"):
+                parse(CANONICAL + f"{line}\n")
+
+
 # CSV lines for the differential parser test: valid events (a narrow stamp
 # range makes ties common), skipped lines, and lines with one odd field or
 # with 3 or 5 fields, which the grammar must accept or reject exactly as the
@@ -149,20 +255,30 @@ _LINE = st.integers(0, 5).flatmap(  # one line in six is odd, so many texts pars
     lambda k: _ODD_LINE if k == 0 else _SKIPPED_LINE if k == 1 else _VALID_LINE)
 _CSV_TEXT = st.lists(_LINE, max_size=12).map(lambda lines: "".join(f"{ln}\n" for ln in lines))
 
+# Fully canonical texts: "#" lines at column 0 and unpadded valid events with
+# stamps of up to 18 digits (narrow ones too, for ties).
+_CANONICAL_LINE = st.one_of(
+    st.builds(lambda *row: ",".join(map(str, row)),
+              st.one_of(st.integers(0, 40), st.integers(0, 10**18 - 1)),
+              st.integers(0, 9), st.integers(0, 9), st.sampled_from([-1, 0, 1])),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12).map(
+        lambda comment: f"#{comment}"),
+)
+_CANONICAL_TEXT = st.lists(_CANONICAL_LINE, max_size=24).map(
+    lambda lines: "".join(f"{ln}\n" for ln in lines))
+
 
 class TestParseFuzz:
     @settings(max_examples=400, deadline=None)
     @given(_CSV_TEXT)
     def test_matches_line_scan_oracle(self, text):
-        try:
-            expected = parse_events_naive(io.StringIO(text), DIMS)
-        except EventParseError as exc:
-            with pytest.raises(EventParseError) as got:
-                parse(text)
-            assert got.value.line_no == exc.line_no
-            assert str(got.value) == str(exc)
-        else:
-            assert rows(parse(text)) == expected
+        assert_matches_oracle(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(_CANONICAL_TEXT, _CSV_TEXT), st.integers(1, 48))
+    def test_matches_line_scan_oracle_in_small_blocks(self, text, block):
+        with mock.patch.object(events_module, "_PARSE_BLOCK_BYTES", block):
+            assert_matches_oracle(text)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 9),
@@ -281,6 +397,16 @@ class TestTensorDump:
         with pytest.raises(TensorFormatError, match="overflow"):
             read_tensor(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        data = np.zeros((2, 3, 4), dtype=np.float32)
+        data[1, 2, 0] = bad
+        path = tmp_path / "nf.eift"
+        write_tensor(path, data)
+        with pytest.raises(TensorFormatError,
+                           match=r"nf\.eift: non-finite value .*at index \(1, 2, 0\)"):
+            read_tensor(path)
+
     def test_zero_extent_rejected(self, tmp_path):
         import struct
 
@@ -288,3 +414,52 @@ class TestTensorDump:
         path.write_bytes(b"EIFT" + struct.pack("<II", 1, 1) + struct.pack("<Q", 0))
         with pytest.raises(TensorFormatError, match="extent"):
             read_tensor(path)
+
+
+# A valid EIFT file of shape (2, 3), and what a damaged copy may look like:
+# truncated, extended, bytes overwritten, a header word replaced, or random.
+_EIFT = (b"EIFT" + struct.pack("<II2Q", 1, 2, 2, 3)
+         + np.linspace(-1.5, 2.5, 6, dtype="<f4").tobytes())
+
+
+def _overwrite(edits):
+    raw = bytearray(_EIFT)
+    for at, value in edits:
+        raw[at] = value
+    return bytes(raw)
+
+
+def _replace_word(field, value):
+    at, fmt = field
+    return _EIFT[:at] + struct.pack(fmt, value % 2 ** (8 * struct.calcsize(fmt))) \
+        + _EIFT[at + struct.calcsize(fmt):]
+
+
+_DAMAGED_EIFT = st.one_of(
+    st.integers(0, len(_EIFT) - 1).map(lambda n: _EIFT[:n]),
+    st.binary(min_size=1, max_size=16).map(lambda tail: _EIFT + tail),
+    st.lists(st.tuples(st.integers(0, len(_EIFT) - 1), st.integers(0, 255)),
+             min_size=1, max_size=4).map(_overwrite),
+    st.builds(_replace_word, st.sampled_from([(4, "<I"), (8, "<I"), (12, "<Q"), (20, "<Q")]),
+              st.one_of(st.integers(0, 40), st.integers(0, 2**64 - 1))),
+    st.binary(max_size=64),
+)
+
+
+class TestTensorDumpFuzz:
+    def test_base_file_is_what_write_tensor_writes(self, tmp_path):
+        write_tensor(tmp_path / "x.eift", np.linspace(-1.5, 2.5, 6, dtype=np.float32).reshape(2, 3))
+        assert (tmp_path / "x.eift").read_bytes() == _EIFT
+
+    @settings(max_examples=400, deadline=None)
+    @given(_DAMAGED_EIFT)
+    def test_damaged_file_round_trips_or_raises_format_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("eift") / "x.eift"
+        path.write_bytes(raw)
+        try:
+            tensor = read_tensor(path)
+        except TensorFormatError:
+            return
+        assert tensor.data.dtype == np.float32 and np.isfinite(tensor.data).all()
+        write_tensor(path, tensor)
+        assert path.read_bytes() == raw

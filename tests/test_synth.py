@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evifuse import synth
 from evifuse.events import serialize_events
 from evifuse.synth import (
     SceneFormatError, SceneObject, load_scene, motion_events, save_scene,
@@ -187,3 +190,50 @@ class TestSceneIO:
         save_scene(tmp_path / "b", scene)
         for name in ("events.csv", "image.eift", "labels.eift", "meta"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# meta texts: key=value lines (values valid or not, keys repeated or missing)
+# mixed with arbitrary text lines
+_META_LINE = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(sorted(synth._META_TYPES) + ["extra", ""]),
+              st.one_of(st.integers(-5, 10**6).map(str), st.sampled_from([
+                  "", "x", "1.5", "1e3", " 7 ", "nan", "-inf", "0x10", "1_0", "\u0661\u0662",
+                  "9" * 5000, "=", "3=4",
+              ]))),
+    st.text(max_size=20),
+)
+_META_TEXT = st.lists(_META_LINE, max_size=16).map("\n".join)
+
+
+class TestMetaFuzz:
+    def assert_loads_or_format_error(self, path, raw):
+        path.write_bytes(raw)
+        try:
+            meta = synth._read_meta(path)
+        except SceneFormatError:
+            return
+        assert sorted(meta) == sorted(synth._META_TYPES)
+        assert all(type(meta[key]) is kind for key, kind in synth._META_TYPES.items())
+
+    @settings(max_examples=400, deadline=None)
+    @given(_META_TEXT)
+    def test_meta_text_loads_or_raises_format_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("meta") / "meta"
+        self.assert_loads_or_format_error(path, text.encode("utf-8"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=96))
+    def test_meta_bytes_load_or_raise_format_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("meta") / "meta"
+        self.assert_loads_or_format_error(path, raw)
+
+    def test_saved_meta_loads(self, tmp_path):
+        save_scene(tmp_path, synth_scene(4, (32, 32), 1, 0.5, 10000))
+        assert synth._read_meta(tmp_path / "meta") == {
+            "height": 32, "width": 32, "classes": 2, "window_us": 10000,
+            "seed": 4, "objects": 1, "noise_rate": 0.5}
+
+    def test_undecodable_meta_is_format_error(self, tmp_path):
+        (tmp_path / "meta").write_bytes(b"height=32\nwidth=\xff\xfe\n")
+        with pytest.raises(SceneFormatError, match="not a text file"):
+            synth._read_meta(tmp_path / "meta")

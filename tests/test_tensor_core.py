@@ -240,6 +240,13 @@ class TestResample:
         np.testing.assert_array_equal(
             ops._interp_matrix(4, 9, "bilinear", np.float64), before)
 
+    def test_interp_cache_is_bounded(self):
+        first = ops._interp_matrix(4, 9, "bilinear", np.float64).copy()
+        for size in range(2, 80):
+            ops.resample(t(np.ones((1, 1, 3, 3))), (size, 5))
+        assert ops._interp_matrix.cache_info().currsize <= 64
+        np.testing.assert_array_equal(ops._interp_matrix(4, 9, "bilinear", np.float64), first)
+
     def test_downsample_shape(self, rng):
         out = ops.resample(t(rng.standard_normal((1, 1, 21, 21))), (16, 16))
         assert out.shape == (1, 1, 16, 16)
