@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ops
 from .params import conv_params, linear_params, norm_params
-from .tensor import ShapeError, Tensor, concat, matmul, narrow, reshape, transpose
+from .tensor import ShapeError, Tensor, concat, linear, narrow, rearrange
 
 
 @dataclass
@@ -89,27 +89,23 @@ def init_fusion_params(store, rng, channels, heads, reduction,
 
 def _to_tokens(x):
     b, c, h, w = x.shape
-    return reshape(transpose(x, (0, 2, 3, 1)), (b, h * w, c))
+    return rearrange(x, (0, 2, 3, 1), (b, h * w, c))
 
 
 def _to_map(tokens, h, w):
     b, _, c = tokens.shape
-    return transpose(reshape(tokens, (b, h, w, c)), (0, 3, 1, 2))
-
-
-def _project(tokens, w, b):
-    out = matmul(tokens, w)
-    return out + b if b is not None else out
+    return rearrange(tokens, (0, 3, 1, 2), (b, c, h, w), split=(b, h, w, c))
 
 
 def _split_heads(tokens, heads):
     b, n, c = tokens.shape
-    return transpose(reshape(tokens, (b, n, heads, c // heads)), (0, 2, 1, 3))
+    d = c // heads
+    return rearrange(tokens, (0, 2, 1, 3), (b, heads, n, d), split=(b, n, heads, d))
 
 
 def _merge_heads(x):
     b, heads, n, d = x.shape
-    return reshape(transpose(x, (0, 2, 1, 3)), (b, n, heads * d))
+    return rearrange(x, (0, 2, 1, 3), (b, n, heads * d))
 
 
 def differential_attention(x, y, p):
@@ -124,13 +120,13 @@ def differential_attention(x, y, p):
         raise ShapeError(f"channels {c} not divisible by heads {p.heads}")
     xt = _to_tokens(x)
     yt = _to_tokens(y)
-    q1 = _split_heads(_project(xt, p.q1_w, p.q1_b), p.heads)
-    q2 = _split_heads(_project(xt, p.q2_w, p.q2_b), p.heads)
-    k1 = _split_heads(_project(yt, p.k1_w, p.k1_b), p.heads)
-    k2 = _split_heads(_project(yt, p.k2_w, p.k2_b), p.heads)
-    v = _split_heads(_project(yt, p.v_w, p.v_b), p.heads)
+    q1 = _split_heads(linear(xt, p.q1_w, p.q1_b), p.heads)
+    q2 = _split_heads(linear(xt, p.q2_w, p.q2_b), p.heads)
+    k1 = _split_heads(linear(yt, p.k1_w, p.k1_b), p.heads)
+    k2 = _split_heads(linear(yt, p.k2_w, p.k2_b), p.heads)
+    v = _split_heads(linear(yt, p.v_w, p.v_b), p.heads)
     attended = ops.diff_attention(q1, q2, k1, k2, v, p.lam)
-    out = _project(_merge_heads(attended), p.eo_w, p.eo_b)
+    out = linear(_merge_heads(attended), p.eo_w, p.eo_b)
     return _to_map(out, h, w) + x
 
 
@@ -146,12 +142,12 @@ def efficient_cross_attention(x, y, p):
     if yh % r or yw % r:
         raise ShapeError(f"source dims {yh}x{yw} not divisible by reduction {r}")
     y_red = ops.pool2d(y, "avg", r, r) if r > 1 else y
-    q = _split_heads(_project(_to_tokens(x), p.cq_w, p.cq_b), p.heads)
+    q = _split_heads(linear(_to_tokens(x), p.cq_w, p.cq_b), p.heads)
     yt = _to_tokens(y_red)
-    k = _split_heads(_project(yt, p.ck_w, p.ck_b), p.heads)
-    v = _split_heads(_project(yt, p.cv_w, p.cv_b), p.heads)
+    k = _split_heads(linear(yt, p.ck_w, p.ck_b), p.heads)
+    v = _split_heads(linear(yt, p.cv_w, p.cv_b), p.heads)
     attended = ops.attention_core(q, k, v)
-    out = _project(_merge_heads(attended), p.co_w, p.co_b)
+    out = linear(_merge_heads(attended), p.co_w, p.co_b)
     return _to_map(out, h, w) + x
 
 
@@ -178,8 +174,8 @@ def enhance(fused, p):
     normed = ops.layernorm_channels(fused, p.ln_g, p.ln_b)
     b, c, h, w = fused.shape
     tokens = _to_tokens(normed)
-    hidden = ops.gelu(_project(tokens, p.f1_w, p.f1_b))
-    out = _project(hidden, p.f2_w, p.f2_b)
+    hidden = ops.gelu(linear(tokens, p.f1_w, p.f1_b))
+    out = linear(hidden, p.f2_w, p.f2_b)
     return _to_map(out, h, w) + fused
 
 

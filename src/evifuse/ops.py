@@ -59,6 +59,9 @@ def _window_view(xp, kh, kw, stride, out_h, out_w):
     sb, sc, sh, sw = xp.strides
     shape = (b, c, kh, kw, out_h, out_w)
     strides = (sb, sc, sh, sw, sh * stride, sw * stride)
+    if xp.flags.c_contiguous:
+        # the direct constructor skips as_strided's Python-level wrapping
+        return np.ndarray(shape, xp.dtype, xp, 0, strides)
     return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides)
 
 
@@ -88,9 +91,14 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
     out_h = _out_extent(h, kh, stride, pad)
     out_w = _out_extent(w, kw, stride, pad)
 
-    xp = _pad2d(x.data, pad)
-    cols = _window_view(xp, kh, kw, stride, out_h, out_w)
-    colm = cols.reshape(b, cin * kh * kw, out_h * out_w)
+    # a 1x1 stride-1 kernel reads each pixel once: the input is its own im2col
+    pointwise = kh == kw == 1 and stride == 1 and pad == 0
+    if pointwise:
+        colm = x.data.reshape(b, cin, h * w)
+    else:
+        xp = _pad2d(x.data, pad)
+        cols = _window_view(xp, kh, kw, stride, out_h, out_w)
+        colm = cols.reshape(b, cin * kh * kw, out_h * out_w)
     wm = weight.data.reshape(cout, cin * kh * kw)
     out = np.matmul(wm, colm).reshape(b, cout, out_h, out_w)
     if bias is not None:
@@ -99,8 +107,12 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
     def bwd(g):
         gm = g.reshape(b, cout, out_h * out_w)
         gw = np.einsum("bon,bkn->ok", gm, colm).reshape(weight.shape)
-        gcols = np.matmul(wm.T, gm).reshape(b, cin, kh, kw, out_h, out_w)
-        gx = _scatter_windows(gcols, x.shape, kh, kw, stride, pad)
+        gcols = np.matmul(wm.T, gm)
+        if pointwise:
+            gx = gcols.reshape(x.shape)
+        else:
+            gcols = gcols.reshape(b, cin, kh, kw, out_h, out_w)
+            gx = _scatter_windows(gcols, x.shape, kh, kw, stride, pad)
         gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
         return gx, gw, gb
 
@@ -147,7 +159,8 @@ def pool2d(x, kind, kernel, stride, pad=0):
         gcols = gflat.reshape(b, c, kernel, kernel, out_h, out_w)
         return (_scatter_windows(gcols, x.shape, kernel, kernel, stride, pad),)
 
-    return _make(out, (x,), bwd)
+    # a -inf pad never wins, since every window holds at least one input value
+    return _make(out, (x,), bwd, check_finite=False)
 
 
 def gap(x):
@@ -163,11 +176,10 @@ def gap(x):
 
 def sigmoid(x):
     d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp(-|d|) never overflows: 1/(1+e^-d) for d >= 0, e^d/(1+e^d) below
+    ex = np.exp(-np.abs(d))
+    den = 1.0 + ex
+    out = np.where(d >= 0, 1.0 / den, ex / den)
 
     def bwd(g):
         return (g * out * (1.0 - out),)
@@ -182,7 +194,7 @@ def relu(x):
     def bwd(g):
         return (g * (d > 0),)
 
-    return _make(out, (x,), bwd)
+    return _make(out, (x,), bwd, check_finite=False)
 
 
 # Python floats, so float32 inputs stay float32 (a numpy float64 scalar
@@ -223,16 +235,21 @@ def softmax(x, axis):
 # normalization
 
 
-def batchnorm2d(x, gamma, beta, eps=EPS_NORM):
-    """Per-channel normalization over (B,H,W) using current-batch statistics."""
-    if x.ndim != 4:
-        raise ShapeError("batchnorm2d expects [B,C,H,W]")
+def _normalize(x, gamma, beta, axes, eps):
+    """gamma * (x - mean) / sqrt(var + eps) + beta, statistics over ``axes``.
+
+    gamma and beta hold one value per channel (axis 1). The gradient flows
+    through the statistics.
+    """
     d = x.data
-    n = d.shape[0] * d.shape[2] * d.shape[3]
-    mu = d.mean(axis=(0, 2, 3), keepdims=True)
-    var = d.var(axis=(0, 2, 3), keepdims=True)
+    n = math.prod(d.shape[a] for a in axes)
+    # the same reductions as ndarray.mean and ndarray.var, with the
+    # centering reused below
+    mu = np.add.reduce(d, axis=axes, keepdims=True) / n
+    centered = d - mu
+    var = np.add.reduce(centered * centered, axis=axes, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (d - mu) * inv_std
+    xhat = centered * inv_std
     gm = gamma.data.reshape(1, -1, 1, 1)
     out = gm * xhat + beta.data.reshape(1, -1, 1, 1)
 
@@ -245,44 +262,27 @@ def batchnorm2d(x, gamma, beta, eps=EPS_NORM):
             / n
             * (
                 n * dxhat
-                - dxhat.sum(axis=(0, 2, 3), keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+                - dxhat.sum(axis=axes, keepdims=True)
+                - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True)
             )
         )
         return dx, dgamma, dbeta
 
     return _make(out, (x, gamma, beta), bwd)
+
+
+def batchnorm2d(x, gamma, beta, eps=EPS_NORM):
+    """Per-channel normalization over (B,H,W) using current-batch statistics."""
+    if x.ndim != 4:
+        raise ShapeError("batchnorm2d expects [B,C,H,W]")
+    return _normalize(x, gamma, beta, (0, 2, 3), eps)
 
 
 def layernorm_channels(x, gamma, beta, eps=EPS_NORM):
     """Normalize across the channel axis per spatial position."""
     if x.ndim != 4:
         raise ShapeError("layernorm_channels expects [B,C,H,W]")
-    d = x.data
-    c = d.shape[1]
-    mu = d.mean(axis=1, keepdims=True)
-    var = d.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (d - mu) * inv_std
-    gm = gamma.data.reshape(1, -1, 1, 1)
-    out = gm * xhat + beta.data.reshape(1, -1, 1, 1)
-
-    def bwd(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3))
-        dbeta = g.sum(axis=(0, 2, 3))
-        dxhat = g * gm
-        dx = (
-            inv_std
-            / c
-            * (
-                c * dxhat
-                - dxhat.sum(axis=1, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=1, keepdims=True)
-            )
-        )
-        return dx, dgamma, dbeta
-
-    return _make(out, (x, gamma, beta), bwd)
+    return _normalize(x, gamma, beta, (1,), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,7 @@ def resample(x, target, mode="bilinear"):
         raise ShapeError("target extents must be >= 1")
     b, c, h, w = x.shape
     if (h, w) == (h2, w2):
-        return _make(x.data.copy(), (x,), lambda g: (g,))
+        return _make(x.data.copy(), (x,), lambda g: (g,), check_finite=False)
     ry = _interp_matrix(h, h2, mode, x.data.dtype.type)
     rx = _interp_matrix(w, w2, mode, x.data.dtype.type)
     out = np.matmul(np.matmul(ry, x.data), rx.T)
@@ -327,7 +327,8 @@ def resample(x, target, mode="bilinear"):
     def bwd(g):
         return (np.matmul(np.matmul(ry.T, g), rx),)
 
-    return _make(out, (x,), bwd)
+    # nearest rows are one-hot, so they copy input values
+    return _make(out, (x,), bwd, check_finite=mode != "nearest")
 
 
 # ---------------------------------------------------------------------------

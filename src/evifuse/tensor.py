@@ -8,7 +8,9 @@ replays the records in exact reverse order, accumulating gradients into
 every tensor flagged with ``requires_grad``.
 
 Every operation validates that its output is finite; NaN/Inf anywhere is
-an error state, never silently propagated.
+an error state, never silently propagated. Ops that only move or select
+values (views, copies, concatenation, max, relu) skip the check: finite
+inputs cannot give them a non-finite output.
 """
 
 from __future__ import annotations
@@ -27,23 +29,32 @@ class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-_FLOAT_TYPES = (np.float32, np.float64)
+_FLOAT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
+
+
+def _float_array(data, dtype=None):
+    arr = np.asarray(data, dtype=dtype)
+    if arr.dtype not in _FLOAT_DTYPES:
+        arr = arr.astype(np.float32)
+    if arr.size == 0:
+        raise ShapeError("tensors must have positive extents")
+    return arr
+
+
+def _check_finite(arr):
+    # a non-finite entry makes the float64 sum non-finite (values in this
+    # artifact are far too small for an all-finite sum to overflow)
+    if not math.isfinite(np.add.reduce(arr, None, np.float64)):
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteError("tensor holds NaN/Inf values")
 
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in _FLOAT_TYPES:
-            arr = arr.astype(np.float32)
-        if arr.size == 0:
-            raise ShapeError("tensors must have positive extents")
-        # a non-finite entry makes the float64 sum non-finite (values in this
-        # artifact are far too small for an all-finite sum to overflow)
-        if not math.isfinite(float(arr.sum(dtype=np.float64))):
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteError("tensor holds NaN/Inf values")
+        arr = _float_array(data, dtype)
+        _check_finite(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -205,9 +216,19 @@ def backward(tape, output):
     tape.backward(output)
 
 
-def _make(out_data, inputs, backward_fn):
-    """Wrap an op result; record on the active tape when gradients flow."""
-    out = Tensor(out_data)
+def _make(out_data, inputs, backward_fn, check_finite=True):
+    """Wrap an op result; record on the active tape when gradients flow.
+
+    ``check_finite=False`` is only for ops whose output values are copies
+    of input values (or zeros), which are finite whenever the inputs are.
+    """
+    arr = _float_array(out_data)
+    if check_finite:
+        _check_finite(arr)
+    out = object.__new__(Tensor)
+    out.data = arr
+    out.requires_grad = False
+    out.grad = None
     tape = _ACTIVE_TAPE.get()
     if tape is not None and any(
         isinstance(x, Tensor) and x.requires_grad for x in inputs
@@ -279,6 +300,24 @@ def matmul(a, b):
     return _make(out, (a, b), bwd)
 
 
+def linear(x, w, b=None):
+    """x . w + b as one record; the same arithmetic as matmul, then add."""
+    if b is None:
+        return matmul(x, w)
+    if x.ndim < 2 or w.ndim < 2:
+        raise ShapeError("matmul operands must have rank >= 2")
+    x_data, w_data, b_shape = x.data, w.data, b.data.shape
+    out = np.matmul(x_data, w_data) + b.data
+
+    def bwd(g):
+        gx = np.matmul(g, np.swapaxes(w_data, -1, -2))
+        gw = np.matmul(np.swapaxes(x_data, -1, -2), g)
+        return (_unbroadcast(gx, x_data.shape), _unbroadcast(gw, w_data.shape),
+                _unbroadcast(g, b_shape))
+
+    return _make(out, (x, w, b), bwd)
+
+
 def reshape(t, shape):
     src_shape = t.data.shape
     out = t.data.reshape(shape)
@@ -286,21 +325,44 @@ def reshape(t, shape):
     def bwd(g):
         return (g.reshape(src_shape),)
 
-    return _make(out, (t,), bwd)
+    return _make(out, (t,), bwd, check_finite=False)
+
+
+def _inverse_axes(axes):
+    inv = [0] * len(axes)
+    for i, a in enumerate(axes):
+        inv[a] = i
+    return tuple(inv)
 
 
 def transpose(t, axes):
     axes = tuple(axes)
-    inv = [0] * len(axes)
-    for i, a in enumerate(axes):
-        inv[a] = i
-    inv = tuple(inv)
+    inv = _inverse_axes(axes)
     out = t.data.transpose(axes)
 
     def bwd(g):
         return (g.transpose(inv),)
 
-    return _make(out, (t,), bwd)
+    return _make(out, (t,), bwd, check_finite=False)
+
+
+def rearrange(t, axes, shape, split=None):
+    """reshape(split), then transpose(axes), then reshape(shape): one record.
+
+    ``split`` defaults to the input shape. Token and head layouts are built
+    with this op, so each layout change costs one record and one adjoint.
+    """
+    src_shape = t.data.shape
+    moved = t.data if split is None else t.data.reshape(split)
+    moved = moved.transpose(axes)
+    moved_shape = moved.shape
+    out = moved.reshape(shape)
+    inv = _inverse_axes(tuple(axes))
+
+    def bwd(g):
+        return (g.reshape(moved_shape).transpose(inv).reshape(src_shape),)
+
+    return _make(out, (t,), bwd, check_finite=False)
 
 
 def astype(t, dtype):
@@ -322,7 +384,7 @@ def concat(tensors, axis):
     def bwd(g):
         return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
-    return _make(out, tuple(tensors), bwd)
+    return _make(out, tuple(tensors), bwd, check_finite=False)
 
 
 def narrow(t, axis, start, length):
@@ -338,7 +400,7 @@ def narrow(t, axis, start, length):
         full[idx] = g
         return (full,)
 
-    return _make(out, (t,), bwd)
+    return _make(out, (t,), bwd, check_finite=False)
 
 
 def tsum(t, axis=None, keepdims=False):
@@ -356,12 +418,13 @@ def tsum(t, axis=None, keepdims=False):
 
 
 def tmean(t, axis=None, keepdims=False):
-    out = t.data.mean(axis=axis, keepdims=keepdims)
     src_shape = t.data.shape
     # a Python int: a numpy int64 count would promote float32 gradients
     count = t.data.size if axis is None else math.prod(
         src_shape[a] for a in _norm_axes(axis, t.ndim)
     )
+    # ndarray.mean's own reduction and division, without its Python wrapper
+    out = np.add.reduce(t.data, axis=axis, keepdims=keepdims) / count
 
     def bwd(g):
         if axis is None:
@@ -386,7 +449,7 @@ def tmax(t, axis, keepdims=False):
         np.put_along_axis(full, arg, g, axis=axis)
         return (full,)
 
-    return _make(out, (t,), bwd)
+    return _make(out, (t,), bwd, check_finite=False)
 
 
 def _norm_axes(axis, ndim):

@@ -19,6 +19,9 @@ Two details keep the probes numerically meaningful:
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 
 from .fusion import fusion_forward, init_fusion_params
@@ -52,14 +55,7 @@ def _probe(rng, shape):
     return Tensor(rng.standard_normal(shape) * OBJECTIVE_SCALE, dtype=np.float64)
 
 
-def _check_all(forward, store, inputs, epsilon):
-    rows = [(name, check_param(forward, t, epsilon)) for name, t in store.items()]
-    rows += [(f"input.{name}", check_input(forward, t, epsilon))
-             for name, t in inputs]
-    return rows
-
-
-def check_refine(seed=1, epsilon=DEFAULT_EPSILON):
+def refine_case(seed):
     rng = make_rng(seed)
     store = ParamStore()
     p = init_refine_params(store, rng, width=4, dtype=np.float64)
@@ -71,10 +67,10 @@ def check_refine(seed=1, epsilon=DEFAULT_EPSILON):
     def forward():
         return tsum(refine_forward(e_vt, a_cm, p) * probe)
 
-    return _check_all(forward, store, [("e_vt", e_vt), ("a_cm", a_cm)], epsilon)
+    return forward, store, [("e_vt", e_vt), ("a_cm", a_cm)]
 
 
-def check_recal(seed=1, epsilon=DEFAULT_EPSILON):
+def recal_case(seed):
     rng = make_rng(seed)
     store = ParamStore()
     p = init_recal_params(store, rng, c_event=3, c_image=4, dtype=np.float64)
@@ -88,10 +84,10 @@ def check_recal(seed=1, epsilon=DEFAULT_EPSILON):
         e_rec, i_rec = recalibrate(ev, im, p)
         return tsum(e_rec * probe_e) + tsum(i_rec * probe_i)
 
-    return _check_all(forward, store, [("event", ev), ("image", im)], epsilon)
+    return forward, store, [("event", ev), ("image", im)]
 
 
-def check_fusion(seed=1, epsilon=DEFAULT_EPSILON):
+def fusion_case(seed):
     rng = make_rng(seed)
     store = ParamStore()
     p = init_fusion_params(store, rng, channels=4, heads=2, reduction=2,
@@ -104,10 +100,10 @@ def check_fusion(seed=1, epsilon=DEFAULT_EPSILON):
     def forward():
         return tsum(fusion_forward(ev, im, p) * probe)
 
-    return _check_all(forward, store, [("event", ev), ("image", im)], epsilon)
+    return forward, store, [("event", ev), ("image", im)]
 
 
-def check_encoder(seed=1, epsilon=DEFAULT_EPSILON):
+def encoder_case(seed):
     rng = make_rng(seed)
     store = ParamStore()
     p = init_encoder_params(store, rng, 3, [2, 2, 2, 2], "enc", dtype=np.float64)
@@ -123,10 +119,10 @@ def check_encoder(seed=1, epsilon=DEFAULT_EPSILON):
             total = part if total is None else total + part
         return total
 
-    return _check_all(forward, store, [("x", x)], epsilon)
+    return forward, store, [("x", x)]
 
 
-def check_decoder(seed=1, epsilon=DEFAULT_EPSILON):
+def decoder_case(seed):
     rng = make_rng(seed)
     store = ParamStore()
     widths = [2, 3, 2, 3]
@@ -140,8 +136,7 @@ def check_decoder(seed=1, epsilon=DEFAULT_EPSILON):
     def forward():
         return tsum(decode(stages, p, (64, 64)) * probe)
 
-    inputs = [(f"stage{s}", t) for s, t in enumerate(stages)]
-    return _check_all(forward, store, inputs, epsilon)
+    return forward, store, [(f"stage{s}", t) for s, t in enumerate(stages)]
 
 
 def minimal_network_config(seed=1):
@@ -154,8 +149,8 @@ def minimal_network_config(seed=1):
     )
 
 
-def check_network(seed=1, epsilon=DEFAULT_EPSILON):
-    """End-to-end check through the cross-entropy loss.
+def network_case(seed):
+    """End-to-end objective through the cross-entropy loss.
 
     Batch 2: with a single sample the 1x1 stage-4 maps are constant per
     channel, batchnorm absorbs them exactly, and that branch would carry
@@ -175,29 +170,91 @@ def check_network(seed=1, epsilon=DEFAULT_EPSILON):
         logits = model.forward(image, e_vt, a_cm)
         return loss_ce(logits, labels) * OBJECTIVE_SCALE
 
-    inputs = [("image", image), ("e_vt", e_vt), ("a_cm", a_cm)]
-    return _check_all(forward, model.store, inputs, epsilon)
+    return forward, model.store, [("image", image), ("e_vt", e_vt), ("a_cm", a_cm)]
 
 
-_CHECKS = {
-    "aefrm": check_refine,
-    "marm": check_recal,
-    "mgfm": check_fusion,
-    "encoder": check_encoder,
-    "decoder": check_decoder,
-    "network": check_network,
+# module -> case builder: seed -> (scalar forward, parameter store, [(name, input)])
+CASES = {
+    "aefrm": refine_case,
+    "marm": recal_case,
+    "mgfm": fusion_case,
+    "encoder": encoder_case,
+    "decoder": decoder_case,
+    "network": network_case,
 }
 
 
-def run_checks(which, seed=1, epsilon=DEFAULT_EPSILON):
-    """Mapping module -> [(group, max relative error)] for the selection."""
+def _groups(module, seed):
+    """(module, group name, forward, tensor, is input) for every checked group."""
+    forward, store, inputs = CASES[module](seed)
+    groups = [(module, name, forward, t, False) for name, t in store.items()]
+    groups += [(module, f"input.{name}", forward, t, True) for name, t in inputs]
+    return groups
+
+
+def _check_group(group, epsilon):
+    _, _, forward, tensor, is_input = group
+    check = check_input if is_input else check_param
+    return check(forward, tensor, epsilon)
+
+
+# the groups a forked pool works on; worker processes inherit them at fork
+_POOL_GROUPS = None
+
+
+def _pool_task(task):
+    index, epsilon = task
+    return index, _check_group(_POOL_GROUPS[index], epsilon)
+
+
+def available_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _check_in_pool(groups, epsilon, workers):
+    global _POOL_GROUPS
+    # largest tensors first, so no long group starts last
+    order = sorted(range(len(groups)), key=lambda i: -groups[i][3].size)
+    errors = [None] * len(groups)
+    _POOL_GROUPS = groups
+    try:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            tasks = [(i, epsilon) for i in order]
+            for index, err in pool.imap_unordered(_pool_task, tasks):
+                errors[index] = err
+    finally:
+        _POOL_GROUPS = None
+    return errors
+
+
+def run_checks(which, seed=1, epsilon=DEFAULT_EPSILON, workers=1):
+    """Mapping module -> [(group, max relative error)] for the selection.
+
+    ``workers`` > 1 spreads the parameter groups and inputs over that many
+    forked processes (at most one per available CPU). Every group starts
+    from the same state either way, so the result is identical.
+    """
     if which == "all":
         names = MODULE_NAMES
-    elif which in _CHECKS:
+    elif which in CASES:
         names = (which,)
     else:
         raise ValueError(f"unknown module {which!r}; choose from {CLI_CHOICES}")
-    return {name: _CHECKS[name](seed=seed, epsilon=epsilon) for name in names}
+    if not 1 <= workers <= available_cpus():
+        raise ValueError(f"workers must be in [1, {available_cpus()}], got {workers}")
+    results = {}
+    if workers == 1:
+        for name in names:
+            results[name] = [(group[1], _check_group(group, epsilon))
+                             for group in _groups(name, seed)]
+        return results
+    groups = [g for name in names for g in _groups(name, seed)]
+    errors = _check_in_pool(groups, epsilon, workers)
+    for (module, group, *_), err in zip(groups, errors):
+        results.setdefault(module, []).append((group, err))
+    return results
 
 
 def worst_error(results):

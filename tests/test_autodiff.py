@@ -8,8 +8,8 @@ import pytest
 from evifuse import ops
 from evifuse.gradcheck import check_input, check_param, finite_difference_check
 from evifuse.tensor import (
-    ShapeError, Tape, TapeConsumedError, Tensor, backward, concat, matmul,
-    narrow, tmax, tmean, transpose, tsum,
+    ShapeError, Tape, TapeConsumedError, Tensor, add, backward, concat, linear,
+    matmul, narrow, rearrange, reshape, tmax, tmean, transpose, tsum,
 )
 
 
@@ -208,6 +208,53 @@ class TestOperatorAdjoints:
         assert _fd(lambda v: tsum(concat((v, other), axis=1)), a) < 1e-6
         assert _fd(lambda v: tsum(narrow(v, 1, 1, 2)), a) < 1e-6
 
+    def test_rearrange(self, rng):
+        a = rng.standard_normal((2, 3, 4, 5))
+        w = t64(rng.standard_normal((2, 20, 3)))
+        assert _fd(lambda v: tsum(rearrange(v, (0, 2, 3, 1), (2, 20, 3)) * w), a) < 1e-6
+        w = t64(rng.standard_normal((2, 2, 3, 10)))
+        split = lambda v: rearrange(v, (0, 2, 1, 3), (2, 2, 3, 10), split=(2, 3, 2, 10))
+        assert _fd(lambda v: tsum(split(v) * w), a) < 1e-6
+
+    def test_linear(self, rng):
+        x = rng.standard_normal((2, 5, 3))
+        w = t64(rng.standard_normal((3, 4)))
+        b = t64(rng.standard_normal(4))
+        probe = t64(rng.standard_normal((2, 5, 4)))
+        assert _fd(lambda v: tsum(linear(v, w, b) * probe), x) < 1e-6
+        xt = t64(x)
+        assert _fd(lambda v: tsum(linear(xt, v, b) * probe), w.data.copy()) < 1e-6
+        assert _fd(lambda v: tsum(linear(xt, w, v) * probe), b.data.copy()) < 1e-6
+
+    def test_fused_layout_ops_equal_their_compositions(self, rng):
+        # one record each, bitwise the same values and gradients as the
+        # reshape/transpose and matmul/add chains they replace
+        def run(fn, *arrays):
+            ts = [t64(a, requires_grad=True) for a in arrays]
+            with Tape() as tape:
+                out = fn(*ts)
+                y = tsum(out * t64(np.linspace(-1.0, 1.0, out.size).reshape(out.shape)))
+            tape.backward(y)
+            return out.data, [t.grad for t in ts], len(tape)
+
+        x = rng.standard_normal((2, 6, 4))
+        w = rng.standard_normal((4, 3))
+        b = rng.standard_normal(3)
+        pairs = [
+            ((lambda v: rearrange(v, (0, 2, 1, 3), (2, 2, 6, 2), split=(2, 6, 2, 2)),
+              lambda v: transpose(reshape(v, (2, 6, 2, 2)), (0, 2, 1, 3))), (x,)),
+            ((lambda v: rearrange(v, (0, 2, 1), (2, 24)),
+              lambda v: reshape(transpose(v, (0, 2, 1)), (2, 24))), (x,)),
+            ((linear, lambda v, m, c: add(matmul(v, m), c)), (x, w, b)),
+        ]
+        for (fused, composed), arrays in pairs:
+            out_f, grads_f, records_f = run(fused, *arrays)
+            out_c, grads_c, records_c = run(composed, *arrays)
+            assert np.array_equal(out_f, out_c)
+            for g_f, g_c in zip(grads_f, grads_c):
+                assert np.array_equal(g_f, g_c)
+            assert records_f == records_c - 1
+
     def test_reductions(self, rng):
         a = rng.standard_normal((3, 4, 5))
         assert _fd(lambda v: tsum(tmean(v, axis=1, keepdims=True) * 3.0), a) < 1e-6
@@ -236,6 +283,19 @@ class TestOperatorAdjoints:
         assert _fd(f_w, w.data.copy()) < 1e-6
         f_b = lambda v: tsum(ops.conv2d(xt, w, v, stride=2, pad=1) * probe)
         assert _fd(f_b, b.data.copy()) < 1e-6
+
+    def test_pointwise_conv2d(self, rng):
+        # 1x1 stride-1 kernels skip the window view; the input is also a
+        # non-contiguous view here, as token layouts produce
+        x = rng.standard_normal((2, 4, 5, 3))
+        w = t64(rng.standard_normal((2, 3, 1, 1)))
+        b = t64(rng.standard_normal(2))
+        probe = t64(rng.standard_normal((2, 2, 4, 5)))
+        nchw = lambda v: transpose(v, (0, 3, 1, 2))
+        assert _fd(lambda v: tsum(ops.conv2d(nchw(v), w, b) * probe), x) < 1e-6
+        xt = nchw(t64(x))
+        assert _fd(lambda v: tsum(ops.conv2d(xt, v, b) * probe), w.data.copy()) < 1e-6
+        assert _fd(lambda v: tsum(ops.conv2d(xt, w, v) * probe), b.data.copy()) < 1e-6
 
     def test_pool2d(self, rng):
         x = rng.standard_normal((2, 2, 6, 6))

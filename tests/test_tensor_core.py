@@ -55,6 +55,16 @@ class TestConv2d:
         out = ops.conv2d(t(x), t(w), t(b), stride=1, pad=0)
         np.testing.assert_allclose(out.data, conv2d_naive(x, w, b, 1, 0), atol=1e-6)
 
+    @pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (1, 2, 0), (3, 1, 0), (3, 2, 1)])
+    def test_non_contiguous_input_matches_oracle(self, rng, k, stride, pad):
+        # a transposed view: no pad copy, so the window view reads it in place
+        x = rng.standard_normal((2, 7, 6, 3)).transpose(0, 3, 1, 2)
+        w = rng.standard_normal((4, 3, k, k))
+        b = rng.standard_normal(4)
+        out = ops.conv2d(t(x), t(w), t(b), stride=stride, pad=pad)
+        np.testing.assert_allclose(
+            out.data, conv2d_naive(x, w, b, stride, pad), atol=1e-6)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_randomized_shapes_match_oracle(self, seed):
         rng = np.random.default_rng(seed)
