@@ -86,7 +86,7 @@ def cmd_forward(args):
 
 
 def cmd_gradcheck(args):
-    results = run_checks(args.module, seed=args.seed, workers=args.workers)
+    results = run_checks(args.module, seed=args.seed)
     failed = False
     print(f"{'module':<10} {'worst group':<28} {'max rel err':>12}  status")
     for name, rows in results.items():
@@ -199,8 +199,6 @@ def build_parser():
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--module", choices=CLI_CHOICES, default="all")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes to spread the checks over (at most one per CPU)")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="overfit one scene with gradient descent")

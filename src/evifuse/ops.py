@@ -59,9 +59,6 @@ def _window_view(xp, kh, kw, stride, out_h, out_w):
     sb, sc, sh, sw = xp.strides
     shape = (b, c, kh, kw, out_h, out_w)
     strides = (sb, sc, sh, sw, sh * stride, sw * stride)
-    if xp.flags.c_contiguous:
-        # the direct constructor skips as_strided's Python-level wrapping
-        return np.ndarray(shape, xp.dtype, xp, 0, strides)
     return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides)
 
 
@@ -91,14 +88,9 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
     out_h = _out_extent(h, kh, stride, pad)
     out_w = _out_extent(w, kw, stride, pad)
 
-    # a 1x1 stride-1 kernel reads each pixel once: the input is its own im2col
-    pointwise = kh == kw == 1 and stride == 1 and pad == 0
-    if pointwise:
-        colm = x.data.reshape(b, cin, h * w)
-    else:
-        xp = _pad2d(x.data, pad)
-        cols = _window_view(xp, kh, kw, stride, out_h, out_w)
-        colm = cols.reshape(b, cin * kh * kw, out_h * out_w)
+    xp = _pad2d(x.data, pad)
+    cols = _window_view(xp, kh, kw, stride, out_h, out_w)
+    colm = cols.reshape(b, cin * kh * kw, out_h * out_w)
     wm = weight.data.reshape(cout, cin * kh * kw)
     out = np.matmul(wm, colm).reshape(b, cout, out_h, out_w)
     if bias is not None:
@@ -107,12 +99,8 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
     def bwd(g):
         gm = g.reshape(b, cout, out_h * out_w)
         gw = np.einsum("bon,bkn->ok", gm, colm).reshape(weight.shape)
-        gcols = np.matmul(wm.T, gm)
-        if pointwise:
-            gx = gcols.reshape(x.shape)
-        else:
-            gcols = gcols.reshape(b, cin, kh, kw, out_h, out_w)
-            gx = _scatter_windows(gcols, x.shape, kh, kw, stride, pad)
+        gcols = np.matmul(wm.T, gm).reshape(b, cin, kh, kw, out_h, out_w)
+        gx = _scatter_windows(gcols, x.shape, kh, kw, stride, pad)
         gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
         return gx, gw, gb
 

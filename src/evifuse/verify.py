@@ -19,9 +19,6 @@ Two details keep the probes numerically meaningful:
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-
 import numpy as np
 
 from .fusion import fusion_forward, init_fusion_params
@@ -184,77 +181,23 @@ CASES = {
 }
 
 
-def _groups(module, seed):
-    """(module, group name, forward, tensor, is input) for every checked group."""
+def _check_case(module, seed, epsilon):
     forward, store, inputs = CASES[module](seed)
-    groups = [(module, name, forward, t, False) for name, t in store.items()]
-    groups += [(module, f"input.{name}", forward, t, True) for name, t in inputs]
-    return groups
+    rows = [(name, check_param(forward, t, epsilon)) for name, t in store.items()]
+    rows += [(f"input.{name}", check_input(forward, t, epsilon))
+             for name, t in inputs]
+    return rows
 
 
-def _check_group(group, epsilon):
-    _, _, forward, tensor, is_input = group
-    check = check_input if is_input else check_param
-    return check(forward, tensor, epsilon)
-
-
-# the groups a forked pool works on; worker processes inherit them at fork
-_POOL_GROUPS = None
-
-
-def _pool_task(task):
-    index, epsilon = task
-    return index, _check_group(_POOL_GROUPS[index], epsilon)
-
-
-def available_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _check_in_pool(groups, epsilon, workers):
-    global _POOL_GROUPS
-    # largest tensors first, so no long group starts last
-    order = sorted(range(len(groups)), key=lambda i: -groups[i][3].size)
-    errors = [None] * len(groups)
-    _POOL_GROUPS = groups
-    try:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            tasks = [(i, epsilon) for i in order]
-            for index, err in pool.imap_unordered(_pool_task, tasks):
-                errors[index] = err
-    finally:
-        _POOL_GROUPS = None
-    return errors
-
-
-def run_checks(which, seed=1, epsilon=DEFAULT_EPSILON, workers=1):
-    """Mapping module -> [(group, max relative error)] for the selection.
-
-    ``workers`` > 1 spreads the parameter groups and inputs over that many
-    forked processes (at most one per available CPU). Every group starts
-    from the same state either way, so the result is identical.
-    """
+def run_checks(which, seed=1, epsilon=DEFAULT_EPSILON):
+    """Mapping module -> [(group, max relative error)] for the selection."""
     if which == "all":
         names = MODULE_NAMES
     elif which in CASES:
         names = (which,)
     else:
         raise ValueError(f"unknown module {which!r}; choose from {CLI_CHOICES}")
-    if not 1 <= workers <= available_cpus():
-        raise ValueError(f"workers must be in [1, {available_cpus()}], got {workers}")
-    results = {}
-    if workers == 1:
-        for name in names:
-            results[name] = [(group[1], _check_group(group, epsilon))
-                             for group in _groups(name, seed)]
-        return results
-    groups = [g for name in names for g in _groups(name, seed)]
-    errors = _check_in_pool(groups, epsilon, workers)
-    for (module, group, *_), err in zip(groups, errors):
-        results.setdefault(module, []).append((group, err))
-    return results
+    return {name: _check_case(name, seed, epsilon) for name in names}
 
 
 def worst_error(results):

@@ -284,19 +284,6 @@ class TestOperatorAdjoints:
         f_b = lambda v: tsum(ops.conv2d(xt, w, v, stride=2, pad=1) * probe)
         assert _fd(f_b, b.data.copy()) < 1e-6
 
-    def test_pointwise_conv2d(self, rng):
-        # 1x1 stride-1 kernels skip the window view; the input is also a
-        # non-contiguous view here, as token layouts produce
-        x = rng.standard_normal((2, 4, 5, 3))
-        w = t64(rng.standard_normal((2, 3, 1, 1)))
-        b = t64(rng.standard_normal(2))
-        probe = t64(rng.standard_normal((2, 2, 4, 5)))
-        nchw = lambda v: transpose(v, (0, 3, 1, 2))
-        assert _fd(lambda v: tsum(ops.conv2d(nchw(v), w, b) * probe), x) < 1e-6
-        xt = nchw(t64(x))
-        assert _fd(lambda v: tsum(ops.conv2d(xt, v, b) * probe), w.data.copy()) < 1e-6
-        assert _fd(lambda v: tsum(ops.conv2d(xt, w, v) * probe), b.data.copy()) < 1e-6
-
     def test_pool2d(self, rng):
         x = rng.standard_normal((2, 2, 6, 6))
         probe = t64(rng.standard_normal((2, 2, 3, 3)))

@@ -198,24 +198,6 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "marm" in out and "ok" in out
 
-    def test_workers_give_the_serial_result(self, capsys):
-        from evifuse.verify import available_cpus, run_checks
-
-        workers = min(2, available_cpus())
-        assert run_checks("marm", seed=1, workers=workers) == run_checks("marm", seed=1)
-        rc = main(["gradcheck", "--module", "marm", "--workers", str(workers)])
-        assert rc == 0
-        assert "ok" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("extra", [0, -1, None])
-    def test_workers_out_of_range_exit_2(self, capsys, extra):
-        from evifuse.verify import available_cpus
-
-        workers = available_cpus() + 1 if extra is None else extra
-        rc = main(["gradcheck", "--module", "marm", "--workers", str(workers)])
-        assert rc == 2
-        assert "workers must be in" in capsys.readouterr().err
-
     def test_corrupted_backward_fails(self, capsys, monkeypatch):
         # an untaped self-product halves the analytic gradient of the
         # recalibrated events, so the real check must report FAIL
@@ -240,7 +222,7 @@ class TestGradcheck:
         fake = {name: [("w", 2e-6), ("b", 5e-7)]
                 for name in ("aefrm", "marm", "mgfm", "encoder", "decoder",
                              "network")}
-        monkeypatch.setattr(cli, "run_checks", lambda which, seed, workers: fake)
+        monkeypatch.setattr(cli, "run_checks", lambda which, seed: fake)
         rc = main(["gradcheck", "--module", "all"])
         assert rc == 0
         lines = [l for l in capsys.readouterr().out.splitlines()

@@ -57,7 +57,8 @@ class TestConv2d:
 
     @pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (1, 2, 0), (3, 1, 0), (3, 2, 1)])
     def test_non_contiguous_input_matches_oracle(self, rng, k, stride, pad):
-        # a transposed view: no pad copy, so the window view reads it in place
+        # a transposed view; at pad 0 there is no pad copy, so the window
+        # view reads it in place
         x = rng.standard_normal((2, 7, 6, 3)).transpose(0, 3, 1, 2)
         w = rng.standard_normal((4, 3, k, k))
         b = rng.standard_normal(4)
