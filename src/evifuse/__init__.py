@@ -5,7 +5,7 @@ reverse-mode differentiation tape, so each stage of the pipeline is
 verifiable against finite differences. See the README for the CLI.
 """
 
-from .encoding import EncodedEvents, encode, encode_empty, kernel_k, normalize_time
+from .encoding import EncodedEvents, encode
 from .events import EventParseError, Events, EventWindow, parse_events, serialize_events, window
 from .fusion import (
     FusionParams, differential_attention, efficient_cross_attention,
@@ -28,7 +28,7 @@ from .refine import (
 from .synth import (
     SceneFormatError, SceneObject, SyntheticScene, load_scene, save_scene, synth_scene,
 )
-from .tensor import NonFiniteError, ShapeError, Tape, TapeConsumedError, Tensor, backward
+from .tensor import NonFiniteError, ShapeError, Tape, TapeConsumedError, Tensor
 from .tensorio import TensorFormatError, read_tensor, write_tensor
 
 __version__ = "0.1.0"

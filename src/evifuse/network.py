@@ -324,7 +324,7 @@ def train_toy(scene, cfg, steps, lr):
                 loss = loss_ce(logits, scene.labels)
             history.append(loss.item())
             tape.backward(loss)
-            for _, t in model.store.trainable():
+            for _, t in model.store.items():
                 t.data = t.data - lr * t.grad_array()
         except (FloatingPointError, ArithmeticError) as exc:
             raise TrainingDiverged(step) from exc

@@ -10,7 +10,7 @@ Conventions fixed here:
     zeros); max pooling pads with -inf so padding never wins
   - batchnorm uses current-batch statistics, gradients flow through them
   - bilinear resampling maps dst -> (dst + 0.5) * scale - 0.5, edge-clamped
-    (align-corners=false); nearest maps dst -> floor(dst * scale)
+    (align-corners=false)
   - attention (plain and dual-softmax differential) walks query blocks and
     recomputes probabilities in backward (FlashAttention, Dao et al. 2022)
 """
@@ -223,8 +223,8 @@ def softmax(x, axis):
 # normalization
 
 
-def _normalize(x, gamma, beta, axes, eps):
-    """gamma * (x - mean) / sqrt(var + eps) + beta, statistics over ``axes``.
+def _normalize(x, gamma, beta, axes):
+    """gamma * (x - mean) / sqrt(var + EPS_NORM) + beta, statistics over ``axes``.
 
     gamma and beta hold one value per channel (axis 1). The gradient flows
     through the statistics.
@@ -236,7 +236,7 @@ def _normalize(x, gamma, beta, axes, eps):
     mu = np.add.reduce(d, axis=axes, keepdims=True) / n
     centered = d - mu
     var = np.add.reduce(centered * centered, axis=axes, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + EPS_NORM)
     xhat = centered * inv_std
     gm = gamma.data.reshape(1, -1, 1, 1)
     out = gm * xhat + beta.data.reshape(1, -1, 1, 1)
@@ -259,18 +259,18 @@ def _normalize(x, gamma, beta, axes, eps):
     return _make(out, (x, gamma, beta), bwd)
 
 
-def batchnorm2d(x, gamma, beta, eps=EPS_NORM):
+def batchnorm2d(x, gamma, beta):
     """Per-channel normalization over (B,H,W) using current-batch statistics."""
     if x.ndim != 4:
         raise ShapeError("batchnorm2d expects [B,C,H,W]")
-    return _normalize(x, gamma, beta, (0, 2, 3), eps)
+    return _normalize(x, gamma, beta, (0, 2, 3))
 
 
-def layernorm_channels(x, gamma, beta, eps=EPS_NORM):
+def layernorm_channels(x, gamma, beta):
     """Normalize across the channel axis per spatial position."""
     if x.ndim != 4:
         raise ShapeError("layernorm_channels expects [B,C,H,W]")
-    return _normalize(x, gamma, beta, (1,), eps)
+    return _normalize(x, gamma, beta, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -278,45 +278,38 @@ def layernorm_channels(x, gamma, beta, eps=EPS_NORM):
 
 
 @functools.lru_cache(maxsize=64)
-def _interp_matrix(src, dst, mode, dtype):
+def _interp_matrix(src, dst, dtype):
     """[dst, src] row-stochastic interpolation matrix along one axis."""
     m = np.zeros((dst, src), dtype=dtype)
     scale = src / dst
-    if mode == "nearest":
-        idx = np.minimum((np.arange(dst) * scale).astype(np.int64), src - 1)
-        m[np.arange(dst), idx] = 1.0
-    else:
-        # bilinear, align-corners=false, edge-clamped
-        centers = np.clip((np.arange(dst) + 0.5) * scale - 0.5, 0.0, src - 1.0)
-        lo = np.floor(centers).astype(np.int64)
-        hi = np.minimum(lo + 1, src - 1)
-        frac = centers - lo
-        rows = np.arange(dst)
-        np.add.at(m, (rows, lo), 1.0 - frac)
-        np.add.at(m, (rows, hi), frac)
+    # bilinear, align-corners=false, edge-clamped
+    centers = np.clip((np.arange(dst) + 0.5) * scale - 0.5, 0.0, src - 1.0)
+    lo = np.floor(centers).astype(np.int64)
+    hi = np.minimum(lo + 1, src - 1)
+    frac = centers - lo
+    rows = np.arange(dst)
+    np.add.at(m, (rows, lo), 1.0 - frac)
+    np.add.at(m, (rows, hi), frac)
     m.setflags(write=False)  # shared by every caller
     return m
 
 
-def resample(x, target, mode="bilinear"):
-    """Resize [B,C,H,W] to target (H2,W2); constant inputs stay constant."""
-    if mode not in ("bilinear", "nearest"):
-        raise ValueError(f"unknown resample mode {mode!r}")
+def resample(x, target):
+    """Bilinear resize of [B,C,H,W] to target (H2,W2); constants stay constant."""
     h2, w2 = target
     if h2 < 1 or w2 < 1:
         raise ShapeError("target extents must be >= 1")
     b, c, h, w = x.shape
     if (h, w) == (h2, w2):
         return _make(x.data.copy(), (x,), lambda g: (g,), check_finite=False)
-    ry = _interp_matrix(h, h2, mode, x.data.dtype.type)
-    rx = _interp_matrix(w, w2, mode, x.data.dtype.type)
+    ry = _interp_matrix(h, h2, x.data.dtype.type)
+    rx = _interp_matrix(w, w2, x.data.dtype.type)
     out = np.matmul(np.matmul(ry, x.data), rx.T)
 
     def bwd(g):
         return (np.matmul(np.matmul(ry.T, g), rx),)
 
-    # nearest rows are one-hot, so they copy input values
-    return _make(out, (x,), bwd, check_finite=mode != "nearest")
+    return _make(out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

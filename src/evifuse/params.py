@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 
 class ParamStore:
@@ -18,22 +18,19 @@ class ParamStore:
     def __init__(self):
         self._items = {}  # insertion ordered
 
-    def add(self, name, value, trainable=True):
+    def add(self, name, value):
         if name in self._items:
             raise ValueError(f"duplicate parameter name {name!r}")
         t = value if isinstance(value, Tensor) else Tensor(value)
         t.requires_grad = True
-        self._items[name] = (t, bool(trainable))
+        self._items[name] = t
         return t
 
     def __getitem__(self, name):
         try:
-            return self._items[name][0]
+            return self._items[name]
         except KeyError:
             raise KeyError(f"unknown parameter {name!r}") from None
-
-    def __contains__(self, name):
-        return name in self._items
 
     def __len__(self):
         return len(self._items)
@@ -42,26 +39,11 @@ class ParamStore:
         return list(self._items)
 
     def items(self):
-        return [(name, t) for name, (t, _) in self._items.items()]
-
-    def trainable(self):
-        return [(name, t) for name, (t, flag) in self._items.items() if flag]
+        return list(self._items.items())
 
     def zero_grad(self):
-        for t, _ in self._items.values():
+        for t in self._items.values():
             t.grad = None
-
-    def total_size(self):
-        return sum(t.size for t, _ in self._items.values())
-
-    def gradient(self, name):
-        """Accumulated gradient for a parameter, zeros if untouched."""
-        t = self[name]
-        if t.grad is None:
-            return np.zeros_like(t.data)
-        if t.grad.shape != t.data.shape:
-            raise ShapeError("gradient shape diverged from value shape")
-        return t.grad
 
 
 def make_rng(seed):

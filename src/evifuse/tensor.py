@@ -75,22 +75,11 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def precision(self):
-        """Compute mode: 'single' for normal runs, 'double' for grad checks."""
-        return "double" if self.data.dtype == np.float64 else "single"
-
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self):
-        return self.data
-
     def astype(self, dtype):
         return astype(self, dtype)
-
-    def detach(self):
-        return Tensor(self.data)
 
     def accumulate_grad(self, g):
         if g.shape != self.data.shape:
@@ -209,11 +198,6 @@ class Tape:
 
 # per thread (and per asyncio task): one thread's tape never sees another's ops
 _ACTIVE_TAPE = contextvars.ContextVar("evifuse_active_tape", default=None)
-
-
-def backward(tape, output):
-    """Run reverse-mode accumulation; module-level alias for Tape.backward."""
-    tape.backward(output)
 
 
 def _make(out_data, inputs, backward_fn, check_finite=True):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fusion import fusion_forward, init_fusion_params
-from .gradcheck import DEFAULT_EPSILON, check_input, check_param
+from .gradcheck import check_input, check_param
 from .network import (
     Model, NetworkConfig, decode, encode_stages, init_decoder_params,
     init_encoder_params, loss_ce,
@@ -35,7 +35,6 @@ from .tensor import Tensor, tsum
 TOLERANCE = 1e-4
 OBJECTIVE_SCALE = 1e-5
 
-MODULE_NAMES = ("aefrm", "marm", "mgfm", "encoder", "decoder", "network")
 CLI_CHOICES = ("aefrm", "marm", "mgfm", "network", "all")
 
 
@@ -179,17 +178,17 @@ CASES = {
     "decoder": decoder_case,
     "network": network_case,
 }
+MODULE_NAMES = tuple(CASES)
 
 
-def _check_case(module, seed, epsilon):
+def _check_case(module, seed):
     forward, store, inputs = CASES[module](seed)
-    rows = [(name, check_param(forward, t, epsilon)) for name, t in store.items()]
-    rows += [(f"input.{name}", check_input(forward, t, epsilon))
-             for name, t in inputs]
+    rows = [(name, check_param(forward, t)) for name, t in store.items()]
+    rows += [(f"input.{name}", check_input(forward, t)) for name, t in inputs]
     return rows
 
 
-def run_checks(which, seed=1, epsilon=DEFAULT_EPSILON):
+def run_checks(which, seed=1):
     """Mapping module -> [(group, max relative error)] for the selection."""
     if which == "all":
         names = MODULE_NAMES
@@ -197,8 +196,4 @@ def run_checks(which, seed=1, epsilon=DEFAULT_EPSILON):
         names = (which,)
     else:
         raise ValueError(f"unknown module {which!r}; choose from {CLI_CHOICES}")
-    return {name: _check_case(name, seed, epsilon) for name in names}
-
-
-def worst_error(results):
-    return max(err for rows in results.values() for _, err in rows)
+    return {name: _check_case(name, seed) for name in names}

@@ -8,7 +8,7 @@ import pytest
 from evifuse import ops
 from evifuse.gradcheck import check_input, check_param, finite_difference_check
 from evifuse.tensor import (
-    ShapeError, Tape, TapeConsumedError, Tensor, add, backward, concat, linear,
+    ShapeError, Tape, TapeConsumedError, Tensor, add, concat, linear,
     matmul, narrow, rearrange, reshape, tmax, tmean, transpose, tsum,
 )
 
@@ -59,7 +59,7 @@ class TestTapeSemantics:
     def test_detached_value_blocks_gradient(self, rng):
         x = t64(rng.standard_normal(3), requires_grad=True)
         with Tape() as tape:
-            y = tsum(x.detach() * 3.0)
+            y = tsum(Tensor(x.data) * 3.0)
         tape.backward(y)
         assert x.grad is None
 
@@ -130,13 +130,6 @@ class TestTapeSemantics:
             assert not t.is_alive()
         assert grads["b"] is not None
         np.testing.assert_array_equal(grads["b"], [3.0, 3.0, 3.0])
-
-    def test_module_level_backward_alias(self, rng):
-        x = t64(rng.standard_normal(3), requires_grad=True)
-        with Tape() as tape:
-            y = tsum(x * 4.0)
-        backward(tape, y)
-        np.testing.assert_allclose(x.grad, np.full(3, 4.0))
 
 
 class TestFiniteDifferenceCheck:
@@ -305,9 +298,7 @@ class TestOperatorAdjoints:
     def test_resample(self, rng):
         x = rng.standard_normal((1, 2, 4, 6))
         probe_up = t64(rng.standard_normal((1, 2, 9, 8)))
-        assert _fd(lambda v: tsum(ops.resample(v, (9, 8), "bilinear") * probe_up), x) < 1e-6
-        probe_nn = t64(rng.standard_normal((1, 2, 8, 12)))
-        assert _fd(lambda v: tsum(ops.resample(v, (8, 12), "nearest") * probe_nn), x) < 1e-6
+        assert _fd(lambda v: tsum(ops.resample(v, (9, 8)) * probe_up), x) < 1e-6
 
     def test_attention_core(self, rng):
         q = rng.standard_normal((1, 2, 3, 4))

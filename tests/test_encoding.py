@@ -1,9 +1,11 @@
 """Projection/activity encoding: kernel, time normalization, accumulation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from evifuse.encoding import encode, encode_empty, kernel_k, normalize_time
+from evifuse.encoding import encode
 from evifuse.events import Events, EventWindow
 
 from _oracles import encode_naive, rows
@@ -26,46 +28,52 @@ def random_events(rng, n, t_start=0, t_end=50000, dims=DIMS):
     )
 
 
+def one_event_mass(t_us, bins, t_start=0, t_end=50000):
+    """Per-bin activity of a single event, read through ``encode``."""
+    enc = encode(make_window(Events([t_us], [4], [7], [1]), t_start, t_end), bins)
+    return enc.a_cm.data[:, 7, 4].tolist()
+
+
 class TestKernel:
+    """The triangular kernel max(0, 1 - |bin - t*|), as encode applies it."""
+
     def test_peak_is_one(self):
-        assert kernel_k(0.0) == 1.0
+        assert one_event_mass(25000, 3) == [0.0, 1.0, 0.0]  # t* = 1
+        assert one_event_mass(12500, 5) == [0.0, 1.0, 0.0, 0.0, 0.0]  # t* = 1
 
     def test_support_boundary(self):
-        assert kernel_k(1.0) == 0.0
-        assert kernel_k(-1.0) == 0.0
-        assert kernel_k(2.5) == 0.0
+        # bins at distance >= 1 from t* get nothing: 1.5 and 2.5 away here
+        assert one_event_mass(12500, 3)[2] == 0.0  # t* = 0.5
+        mass = one_event_mass(31250, 5)  # t* = 2.5
+        assert mass[0] == mass[1] == mass[4] == 0.0
+        assert mass[2] == mass[3] == 0.5
 
     def test_quarter(self):
-        assert kernel_k(0.25) == pytest.approx(0.75)
-        assert kernel_k(-0.25) == pytest.approx(0.75)
+        assert one_event_mass(6250, 3) == [0.75, 0.25, 0.0]  # t* = 0.25
+        assert one_event_mass(43750, 3) == [0.0, 0.25, 0.75]  # t* = 1.75
 
 
 class TestNormalizeTime:
+    """t* = (bins - 1) * (t - t_start) / (t_end - t_start), as encode applies it."""
+
     def test_midpoint_three_bins(self):
-        win = make_window(NO_EVENTS, 0, 50000)
-        assert normalize_time(25000, win, 3) == pytest.approx(1.0)
+        assert one_event_mass(26000, 3, 1000, 51000) == [0.0, 1.0, 0.0]
 
     def test_window_start(self):
-        win = make_window(NO_EVENTS, 0, 50000)
-        assert normalize_time(0, win, 3) == 0.0
+        assert one_event_mass(1000, 3, 1000, 51000) == [1.0, 0.0, 0.0]
 
     def test_just_before_end(self):
+        # the last microsecond stays below bin 2: t* = 2 * (d - 1) / d
         d = 50000
-        win = make_window(NO_EVENTS, 0, d)
-        expected = 2 * (d - 1) / d
-        assert normalize_time(d - 1, win, 3) == pytest.approx(expected)
-        assert normalize_time(d - 1, win, 3) < 2.0
+        mass = one_event_mass(d - 1, 3, 0, d)
+        assert mass[0] == 0.0
+        assert 0.0 < mass[2] < 1.0
+        assert mass[2] == pytest.approx(1.0 - 2.0 / d, abs=1e-7)
+        assert sum(mass) == pytest.approx(1.0)
 
     def test_single_bin_is_zero(self):
-        win = make_window(NO_EVENTS, 0, 50000)
-        assert normalize_time(49999, win, 1) == 0.0
-
-    def test_outside_window_rejected(self):
-        win = make_window(NO_EVENTS, 1000, 2000)
-        with pytest.raises(ValueError):
-            normalize_time(2000, win, 3)
-        with pytest.raises(ValueError):
-            normalize_time(999, win, 3)
+        assert one_event_mass(49999, 1) == [1.0]
+        assert one_event_mass(0, 1) == [1.0]
 
 
 class TestEncode:
@@ -93,15 +101,11 @@ class TestEncode:
         assert enc.a_cm.data[1, 5, 5] == pytest.approx(2.0)
 
     def test_empty_window_is_all_zeros(self):
-        enc = encode(make_window(NO_EVENTS), 3)
-        assert enc.e_vt.data.shape == (3, 16, 16)
-        assert not enc.e_vt.data.any()
-        assert not enc.a_cm.data.any()
-
-    def test_encode_empty_helper(self):
-        enc = encode_empty((8, 12), 4)
-        assert enc.e_vt.data.shape == (4, 8, 12)
-        assert not enc.a_cm.data.any()
+        for dims, bins in ((DIMS, 3), ((8, 12), 4), ((8, 12), 1)):
+            enc = encode(make_window(NO_EVENTS, dims=dims), bins)
+            assert enc.e_vt.data.shape == enc.a_cm.data.shape == (bins, *dims)
+            assert not enc.e_vt.data.any()
+            assert not enc.a_cm.data.any()
 
     def test_matches_naive_oracle_10k(self, rng):
         events = random_events(rng, 10000)
@@ -118,6 +122,45 @@ class TestEncode:
         e_ref, a_ref = encode_naive(events, 0, 50000, bins, *DIMS)
         np.testing.assert_allclose(enc.e_vt.data, e_ref, atol=1e-6)
         np.testing.assert_allclose(enc.a_cm.data, a_ref, atol=1e-6)
+
+
+SENSOR = (260, 346)  # height, width
+GOLDEN_SPAN = (1_000_000, 1_050_000)
+# sha256 over the e_vt then a_cm bytes. The oracles compare at 1e-6; these
+# pin the exact bits, so a change in accumulation order shows here.
+GOLDEN_SHA256 = {
+    1: "8439115e11fdf0109615555a73bf6a9174af73a34526bd2253580b10ade4492e",
+    2: "9eb40e106fef1d14cdc5969e9dbf2c28fba4d2cedae9bfd74213553e1c7a271f",
+    3: "14cf5c24d2624c7fecdca592a81137d90f47addaf2f06dd8ea0e4c7947507ffe",
+    5: "abfb20de4496fa4f48b078c7432e08ec7c1a2ea401521e430297996dff55ff5a",
+}
+GOLDEN_EMPTY_SHA256 = "683c1e8044d7c310d0d674309f9ea832d068e2bd6f9d2309bf9bc928d38fbb17"
+
+
+def encoding_sha256(enc):
+    h = hashlib.sha256()
+    h.update(enc.e_vt.data.tobytes())
+    h.update(enc.a_cm.data.tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("bins", sorted(GOLDEN_SHA256))
+    def test_seeded_sensor_window(self, bins):
+        # 20k random events plus one at the window start and one in its last
+        # microsecond
+        rng = np.random.default_rng(7)
+        t0, t1 = GOLDEN_SPAN
+        n = 20002
+        t = np.concatenate([[t0, t1 - 1], rng.integers(t0, t1, n - 2)])
+        events = Events(t, rng.integers(0, SENSOR[1], n), rng.integers(0, SENSOR[0], n),
+                        rng.choice([-1, 1], n))
+        enc = encode(make_window(events, t0, t1, SENSOR), bins)
+        assert encoding_sha256(enc) == GOLDEN_SHA256[bins]
+
+    def test_empty_sensor_window(self):
+        enc = encode(make_window(NO_EVENTS, *GOLDEN_SPAN, SENSOR), 3)
+        assert encoding_sha256(enc) == GOLDEN_EMPTY_SHA256
 
 
 class TestEncodingInvariants:
@@ -144,11 +187,7 @@ class TestEncodingInvariants:
         events = random_events(rng, 3000)
         win = make_window(events)
         enc = encode(win, 3)
-        direct = sum(
-            kernel_k(c - normalize_time(e.t_us, win, 3))
-            for e in rows(events)
-            for c in range(3)
-        )
+        direct = encode_naive(events, 0, 50000, 3, *DIMS)[1].sum()
         assert float(enc.a_cm.data.sum()) == pytest.approx(direct, rel=1e-5)
         # interior t* splits sum to exactly 1 per event
         assert float(enc.a_cm.data.sum()) == pytest.approx(len(events), rel=1e-5)

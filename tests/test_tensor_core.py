@@ -28,10 +28,6 @@ class TestTensorBasics:
         with pytest.raises(ShapeError):
             Tensor(np.zeros((0, 3)))
 
-    def test_precision_modes(self):
-        assert Tensor(np.zeros(2, dtype=np.float32)).precision == "single"
-        assert Tensor(np.zeros(2, dtype=np.float64)).precision == "double"
-
 
 class TestConv2d:
     def test_identity_1x1(self, rng):
@@ -223,14 +219,8 @@ class TestNormalize:
 class TestResample:
     def test_bilinear_constant_preserved(self):
         x = t(np.full((1, 2, 4, 4), 3.0))
-        out = ops.resample(x, (16, 16), "bilinear")
+        out = ops.resample(x, (16, 16))
         np.testing.assert_allclose(out.data, np.full((1, 2, 16, 16), 3.0), atol=1e-12)
-
-    def test_nearest_duplicates_blocks(self):
-        x = t([[[[1.0, 2.0], [3.0, 4.0]]]])
-        out = ops.resample(x, (4, 4), "nearest")
-        expected = np.array([[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]], dtype=float)
-        np.testing.assert_allclose(out.data[0, 0], expected)
 
     def test_bilinear_ramp_matches_closed_form(self):
         # source coordinate (j+0.5)*scale - 0.5, edge-clamped; a ramp stays
@@ -238,25 +228,25 @@ class TestResample:
         n, m = 8, 16
         ramp = np.arange(n, dtype=np.float64) * 2.0 + 1.0
         x = t(np.tile(ramp, (1, 1, n, 1)))
-        out = ops.resample(x, (n, m), "bilinear")
+        out = ops.resample(x, (n, m))
         src = np.clip((np.arange(m) + 0.5) * (n / m) - 0.5, 0.0, n - 1.0)
         expected = src * 2.0 + 1.0
         np.testing.assert_allclose(out.data[0, 0, 0], expected, atol=1e-6)
 
     def test_cached_interp_matrix_is_read_only(self):
-        m = ops._interp_matrix(4, 9, "bilinear", np.float64)
+        m = ops._interp_matrix(4, 9, np.float64)
         before = m.copy()
         with pytest.raises(ValueError):
             m[0, 0] = 5.0
         np.testing.assert_array_equal(
-            ops._interp_matrix(4, 9, "bilinear", np.float64), before)
+            ops._interp_matrix(4, 9, np.float64), before)
 
     def test_interp_cache_is_bounded(self):
-        first = ops._interp_matrix(4, 9, "bilinear", np.float64).copy()
+        first = ops._interp_matrix(4, 9, np.float64).copy()
         for size in range(2, 80):
             ops.resample(t(np.ones((1, 1, 3, 3))), (size, 5))
         assert ops._interp_matrix.cache_info().currsize <= 64
-        np.testing.assert_array_equal(ops._interp_matrix(4, 9, "bilinear", np.float64), first)
+        np.testing.assert_array_equal(ops._interp_matrix(4, 9, np.float64), first)
 
     def test_downsample_shape(self, rng):
         out = ops.resample(t(rng.standard_normal((1, 1, 21, 21))), (16, 16))
