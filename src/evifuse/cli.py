@@ -100,11 +100,7 @@ def cmd_gradcheck(args):
 def cmd_train_toy(args):
     cfg = load_config(args.config) if args.config else NetworkConfig()
     scene = load_scene(args.scene)
-    try:
-        _, history, miou, pa = train_toy(scene, cfg, args.steps, args.lr)
-    except TrainingDiverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 1
+    _, history, miou, pa = train_toy(scene, cfg, args.steps, args.lr)
     with open(args.out, "w") as fh:
         fh.write("step,loss\n")
         for step, loss in enumerate(history):
@@ -233,6 +229,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except TrainingDiverged as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return 1
     except (CliError, ConfigError, EventParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,9 +23,6 @@ class EncodedEvents:
 
     e_vt: Tensor  # [bins, H, W], signed
     a_cm: Tensor  # [bins, H, W], non-negative
-    bins: int
-    t_start_us: int
-    t_end_us: int
 
 
 def encode(win, bins):
@@ -61,7 +58,4 @@ def encode(win, bins):
     return EncodedEvents(
         e_vt=Tensor(e_vt.reshape(shape).astype(np.float32)),
         a_cm=Tensor(a_cm.reshape(shape).astype(np.float32)),
-        bins=bins,
-        t_start_us=win.t_start_us,
-        t_end_us=win.t_end_us,
     )

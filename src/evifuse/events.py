@@ -64,10 +64,6 @@ class EventWindow:
     def count(self):
         return len(self.t_us)
 
-    @property
-    def duration_us(self):
-        return self.t_end_us - self.t_start_us
-
 
 def parse_events(stream, dims):
     """Parse and validate a CSV event stream into time-sorted ``Events``.

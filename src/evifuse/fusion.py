@@ -16,33 +16,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .params import conv_params, linear_params, norm_params
+from .params import Norm, Weights, conv_params, linear_params, norm_params
 from .tensor import ShapeError, Tensor, concat, linear, narrow, rearrange
 
 
 @dataclass
 class FusionParams:
     # differential attention (event stream queries image stream)
-    q1_w: Tensor; q1_b: Tensor
-    q2_w: Tensor; q2_b: Tensor
-    k1_w: Tensor; k1_b: Tensor
-    k2_w: Tensor; k2_b: Tensor
-    v_w: Tensor; v_b: Tensor
-    eo_w: Tensor; eo_b: Tensor
+    q1: Weights
+    q2: Weights
+    k1: Weights
+    k2: Weights
+    v: Weights
+    eo: Weights
     lam: Tensor  # per-head subtraction scale
     # reduced cross-attention (image stream queries pooled event stream)
-    cq_w: Tensor; cq_b: Tensor
-    ck_w: Tensor; ck_b: Tensor
-    cv_w: Tensor; cv_b: Tensor
-    co_w: Tensor; co_b: Tensor
+    cq: Weights
+    ck: Weights
+    cv: Weights
+    co: Weights
     # gate
-    gc_w: Tensor; gc_g: Tensor; gc_beta: Tensor
-    gs_w: Tensor; gs_g: Tensor; gs_beta: Tensor
-    gg_w: Tensor; gg_b: Tensor
+    gate_c: Weights
+    gate_c_bn: Norm
+    gate_s: Weights
+    gate_s_bn: Norm
+    gate_g: Weights
     # enhancement
-    ln_g: Tensor; ln_b: Tensor
-    f1_w: Tensor; f1_b: Tensor
-    f2_w: Tensor; f2_b: Tensor
+    ln: Norm
+    ffn1: Weights
+    ffn2: Weights
     heads: int
     reduction: int
 
@@ -50,40 +52,35 @@ class FusionParams:
 LAMBDA_INIT = 0.8
 
 
-def init_fusion_params(store, rng, channels, heads, reduction,
-                       prefix="mgfm", dtype=np.float32):
+def init_fusion_params(store, rng, channels, heads, reduction, prefix="mgfm"):
     if channels % heads:
         raise ValueError(f"channels {channels} not divisible by heads {heads}")
     c = channels
-    q1 = linear_params(store, f"{prefix}.q1", rng, c, c, dtype)
-    q2 = linear_params(store, f"{prefix}.q2", rng, c, c, dtype)
-    # key projections carry no bias: softmax rows are invariant to the
-    # per-query constant shift a key bias induces, so it could never train
-    k1 = linear_params(store, f"{prefix}.k1", rng, c, c, dtype, bias=False)
-    k2 = linear_params(store, f"{prefix}.k2", rng, c, c, dtype, bias=False)
-    v = linear_params(store, f"{prefix}.v", rng, c, c, dtype)
-    eo = linear_params(store, f"{prefix}.eo", rng, c, c, dtype)
-    lam = store.add(f"{prefix}.lam", np.full(heads, LAMBDA_INIT, dtype=dtype))
-    cq = linear_params(store, f"{prefix}.cq", rng, c, c, dtype)
-    ck = linear_params(store, f"{prefix}.ck", rng, c, c, dtype, bias=False)
-    cv = linear_params(store, f"{prefix}.cv", rng, c, c, dtype)
-    co = linear_params(store, f"{prefix}.co", rng, c, c, dtype)
-    gc_w, _ = conv_params(store, f"{prefix}.gate_c", rng, 2, 2 * c, 1, 1,
-                          dtype, bias=False)
-    gc_g, gc_beta = norm_params(store, f"{prefix}.gate_c_bn", rng, 2, dtype)
-    gs_w, _ = conv_params(store, f"{prefix}.gate_s", rng, 2, 2 * c, 7, 7,
-                          dtype, bias=False)
-    gs_g, gs_beta = norm_params(store, f"{prefix}.gate_s_bn", rng, 2, dtype)
-    # gate logits conv starts as identity so initial gates follow the maps
-    gg_w = store.add(f"{prefix}.gate_g.w", np.eye(2, dtype=dtype).reshape(2, 2, 1, 1))
-    gg_b = store.add(f"{prefix}.gate_g.b", np.zeros(2, dtype=dtype))
-    ln_g, ln_b = norm_params(store, f"{prefix}.ln", rng, c, dtype)
-    f1 = linear_params(store, f"{prefix}.ffn1", rng, c, 4 * c, dtype)
-    f2 = linear_params(store, f"{prefix}.ffn2", rng, 4 * c, c, dtype)
     return FusionParams(
-        *q1, *q2, *k1, *k2, *v, *eo, lam, *cq, *ck, *cv, *co,
-        gc_w, gc_g, gc_beta, gs_w, gs_g, gs_beta, gg_w, gg_b,
-        ln_g, ln_b, *f1, *f2, heads=heads, reduction=reduction,
+        q1=linear_params(store, f"{prefix}.q1", rng, c, c),
+        q2=linear_params(store, f"{prefix}.q2", rng, c, c),
+        # key projections carry no bias: softmax rows are invariant to the
+        # per-query constant shift a key bias induces, so it could never train
+        k1=linear_params(store, f"{prefix}.k1", rng, c, c, bias=False),
+        k2=linear_params(store, f"{prefix}.k2", rng, c, c, bias=False),
+        v=linear_params(store, f"{prefix}.v", rng, c, c),
+        eo=linear_params(store, f"{prefix}.eo", rng, c, c),
+        lam=store.add(f"{prefix}.lam", np.full(heads, LAMBDA_INIT)),
+        cq=linear_params(store, f"{prefix}.cq", rng, c, c),
+        ck=linear_params(store, f"{prefix}.ck", rng, c, c, bias=False),
+        cv=linear_params(store, f"{prefix}.cv", rng, c, c),
+        co=linear_params(store, f"{prefix}.co", rng, c, c),
+        gate_c=conv_params(store, f"{prefix}.gate_c", rng, 2, 2 * c, 1, 1, bias=False),
+        gate_c_bn=norm_params(store, f"{prefix}.gate_c_bn", 2),
+        gate_s=conv_params(store, f"{prefix}.gate_s", rng, 2, 2 * c, 7, 7, bias=False),
+        gate_s_bn=norm_params(store, f"{prefix}.gate_s_bn", 2),
+        # gate logits conv starts as identity so initial gates follow the maps
+        gate_g=Weights(w=store.add(f"{prefix}.gate_g.w", np.eye(2).reshape(2, 2, 1, 1)),
+                       b=store.add(f"{prefix}.gate_g.b", np.zeros(2))),
+        ln=norm_params(store, f"{prefix}.ln", c),
+        ffn1=linear_params(store, f"{prefix}.ffn1", rng, c, 4 * c),
+        ffn2=linear_params(store, f"{prefix}.ffn2", rng, 4 * c, c),
+        heads=heads, reduction=reduction,
     )
 
 
@@ -120,13 +117,13 @@ def differential_attention(x, y, p):
         raise ShapeError(f"channels {c} not divisible by heads {p.heads}")
     xt = _to_tokens(x)
     yt = _to_tokens(y)
-    q1 = _split_heads(linear(xt, p.q1_w, p.q1_b), p.heads)
-    q2 = _split_heads(linear(xt, p.q2_w, p.q2_b), p.heads)
-    k1 = _split_heads(linear(yt, p.k1_w, p.k1_b), p.heads)
-    k2 = _split_heads(linear(yt, p.k2_w, p.k2_b), p.heads)
-    v = _split_heads(linear(yt, p.v_w, p.v_b), p.heads)
+    q1 = _split_heads(linear(xt, *p.q1), p.heads)
+    q2 = _split_heads(linear(xt, *p.q2), p.heads)
+    k1 = _split_heads(linear(yt, *p.k1), p.heads)
+    k2 = _split_heads(linear(yt, *p.k2), p.heads)
+    v = _split_heads(linear(yt, *p.v), p.heads)
     attended = ops.diff_attention(q1, q2, k1, k2, v, p.lam)
-    out = linear(_merge_heads(attended), p.eo_w, p.eo_b)
+    out = linear(_merge_heads(attended), *p.eo)
     return _to_map(out, h, w) + x
 
 
@@ -142,12 +139,12 @@ def efficient_cross_attention(x, y, p):
     if yh % r or yw % r:
         raise ShapeError(f"source dims {yh}x{yw} not divisible by reduction {r}")
     y_red = ops.pool2d(y, "avg", r, r) if r > 1 else y
-    q = _split_heads(linear(_to_tokens(x), p.cq_w, p.cq_b), p.heads)
+    q = _split_heads(linear(_to_tokens(x), *p.cq), p.heads)
     yt = _to_tokens(y_red)
-    k = _split_heads(linear(yt, p.ck_w, p.ck_b), p.heads)
-    v = _split_heads(linear(yt, p.cv_w, p.cv_b), p.heads)
+    k = _split_heads(linear(yt, *p.ck), p.heads)
+    v = _split_heads(linear(yt, *p.cv), p.heads)
     attended = ops.attention_core(q, k, v)
-    out = linear(_merge_heads(attended), p.co_w, p.co_b)
+    out = linear(_merge_heads(attended), *p.co)
     return _to_map(out, h, w) + x
 
 
@@ -157,10 +154,10 @@ def gate(ev_att, im_att, p):
         raise ShapeError(f"stream shapes differ: {ev_att.shape} vs {im_att.shape}")
     fused = concat((ev_att, im_att), axis=1)
     a_c = ops.relu(ops.batchnorm2d(
-        ops.conv2d(ops.gap(fused), p.gc_w), p.gc_g, p.gc_beta))
+        ops.conv2d(ops.gap(fused), *p.gate_c), *p.gate_c_bn))
     a_s = ops.relu(ops.batchnorm2d(
-        ops.conv2d(fused, p.gs_w, pad=3), p.gs_g, p.gs_beta))
-    logits = ops.conv2d(a_c + a_s, p.gg_w, p.gg_b)
+        ops.conv2d(fused, *p.gate_s, pad=3), *p.gate_s_bn))
+    logits = ops.conv2d(a_c + a_s, *p.gate_g)
     return ops.softmax(logits, axis=1)
 
 
@@ -171,11 +168,11 @@ def fuse(ev_att, im_att, gates):
 
 def enhance(fused, p):
     """Channel layernorm + feed-forward (1x1 expand, GELU, 1x1 contract) + residual."""
-    normed = ops.layernorm_channels(fused, p.ln_g, p.ln_b)
+    normed = ops.layernorm_channels(fused, *p.ln)
     b, c, h, w = fused.shape
     tokens = _to_tokens(normed)
-    hidden = ops.gelu(linear(tokens, p.f1_w, p.f1_b))
-    out = linear(hidden, p.f2_w, p.f2_b)
+    hidden = ops.gelu(linear(tokens, *p.ffn1))
+    out = linear(hidden, *p.ffn2)
     return _to_map(out, h, w) + fused
 
 

@@ -20,7 +20,7 @@ from . import ops
 from .encoding import encode
 from .events import window
 from .fusion import fusion_forward, init_fusion_params
-from .params import ParamStore, conv_params, make_rng, norm_params
+from .params import Norm, ParamStore, Weights, conv_params, make_rng, norm_params
 from .recalibrate import init_recal_params, recalibrate
 from .refine import init_refine_params, refine_forward
 from .tensor import ShapeError, Tape, Tensor, concat, reshape
@@ -75,11 +75,13 @@ class NetworkConfig:
             raise ConfigError("need at least 2 classes")
         if self.reduction < 1:
             raise ConfigError("reduction must be >= 1")
+        # mgfm pools the 1/32 stage by the reduction ratio
+        if self.use_mgfm and ((self.height // 32) % self.reduction
+                              or (self.width // 32) % self.reduction):
+            raise ConfigError(f"dims {self.height}x{self.width} give a 1/32 stage "
+                              f"not divisible by reduction {self.reduction}")
         if self.bins < 1 or self.window_us < 1:
             raise ConfigError("encoding needs bins >= 1 and a positive window")
-
-    def stage_dims(self):
-        return [(self.height // (4 * 2**s), self.width // (4 * 2**s)) for s in range(STAGES)]
 
 
 _TOP_KEYS = {
@@ -126,58 +128,48 @@ def load_config(path):
 # stub encoders and decoder
 
 
-@dataclass
-class EncoderParams:
-    convs: list  # [(w, bn_g, bn_b)] per stage
-    widths: list
-
-
-def init_encoder_params(store, rng, in_channels, widths, prefix, dtype=np.float32):
+def init_encoder_params(store, rng, in_channels, widths, prefix):
+    """[(conv, bn)] per stage, registered as prefix.s{s} / prefix.s{s}_bn."""
     convs = []
     prev = in_channels
     for s, width in enumerate(widths):
         kernel = 7 if s == 0 else 3
-        w, _ = conv_params(store, f"{prefix}.s{s}", rng, width, prev, kernel, kernel,
-                           dtype, bias=False)
-        g, beta = norm_params(store, f"{prefix}.s{s}_bn", rng, width, dtype)
-        convs.append((w, g, beta))
+        convs.append((
+            conv_params(store, f"{prefix}.s{s}", rng, width, prev, kernel, kernel, bias=False),
+            norm_params(store, f"{prefix}.s{s}_bn", width),
+        ))
         prev = width
-    return EncoderParams(convs, list(widths))
+    return convs
 
 
-def encode_stages(x, p):
+def encode_stages(x, convs):
     """Stage pyramid: 7x7 stride-4 stem, then three 3x3 stride-2 blocks."""
     feats = []
     cur = x
-    for s, (w, g, beta) in enumerate(p.convs):
+    for s, (conv, bn) in enumerate(convs):
         stride, pad = (4, 3) if s == 0 else (2, 1)
-        cur = ops.relu(ops.batchnorm2d(ops.conv2d(cur, w, stride=stride, pad=pad), g, beta))
+        cur = ops.relu(ops.batchnorm2d(ops.conv2d(cur, *conv, stride=stride, pad=pad), *bn))
         feats.append(cur)
     return feats
 
 
 @dataclass
 class DecoderParams:
-    proj: list  # [(w, b)] per stage
-    fuse_w: Tensor
-    fuse_g: Tensor
-    fuse_beta: Tensor
-    cls_w: Tensor
-    cls_b: Tensor
+    proj: list  # [Weights] per stage
+    fuse: Weights
+    fuse_bn: Norm
+    cls: Weights
 
 
-def init_decoder_params(store, rng, stage_widths, decoder_width, classes,
-                        prefix="decoder", dtype=np.float32):
-    proj = [
-        conv_params(store, f"{prefix}.proj{s}", rng, decoder_width, c, 1, 1, dtype)
-        for s, c in enumerate(stage_widths)
-    ]
-    fuse_w, _ = conv_params(store, f"{prefix}.fuse", rng,
-                            decoder_width, STAGES * decoder_width, 1, 1, dtype,
-                            bias=False)
-    fuse_g, fuse_beta = norm_params(store, f"{prefix}.fuse_bn", rng, decoder_width, dtype)
-    cls_w, cls_b = conv_params(store, f"{prefix}.cls", rng, classes, decoder_width, 1, 1, dtype)
-    return DecoderParams(proj, fuse_w, fuse_g, fuse_beta, cls_w, cls_b)
+def init_decoder_params(store, rng, stage_widths, decoder_width, classes, prefix="decoder"):
+    return DecoderParams(
+        proj=[conv_params(store, f"{prefix}.proj{s}", rng, decoder_width, c, 1, 1)
+              for s, c in enumerate(stage_widths)],
+        fuse=conv_params(store, f"{prefix}.fuse", rng, decoder_width,
+                         STAGES * decoder_width, 1, 1, bias=False),
+        fuse_bn=norm_params(store, f"{prefix}.fuse_bn", decoder_width),
+        cls=conv_params(store, f"{prefix}.cls", rng, classes, decoder_width, 1, 1),
+    )
 
 
 def decode(stages, p, out_hw):
@@ -186,12 +178,12 @@ def decode(stages, p, out_hw):
         raise ShapeError(f"decoder expects {STAGES} stage tensors")
     grid = stages[0].shape[2:]
     lifted = [
-        ops.resample(ops.conv2d(feat, w, b), grid)
-        for feat, (w, b) in zip(stages, p.proj)
+        ops.resample(ops.conv2d(feat, *proj), grid)
+        for feat, proj in zip(stages, p.proj)
     ]
     merged = ops.relu(ops.batchnorm2d(
-        ops.conv2d(concat(lifted, axis=1), p.fuse_w), p.fuse_g, p.fuse_beta))
-    logits = ops.conv2d(merged, p.cls_w, p.cls_b)
+        ops.conv2d(concat(lifted, axis=1), *p.fuse), *p.fuse_bn))
+    logits = ops.conv2d(merged, *p.cls)
     return ops.resample(logits, out_hw)
 
 
@@ -208,28 +200,30 @@ class Model:
         self.dtype = dtype
         self.store = ParamStore()
         rng = make_rng(cfg.seed)
-        self.refine = init_refine_params(self.store, rng, cfg.refine_width, dtype=dtype)
-        self.event_enc = init_encoder_params(
-            self.store, rng, cfg.bins, cfg.event_widths, "event_enc", dtype)
-        self.image_enc = init_encoder_params(
-            self.store, rng, 3, cfg.image_widths, "image_enc", dtype)
+        self.refine = init_refine_params(self.store, rng, cfg.refine_width)
+        self.event_enc = init_encoder_params(self.store, rng, cfg.bins, cfg.event_widths,
+                                             "event_enc")
+        self.image_enc = init_encoder_params(self.store, rng, 3, cfg.image_widths, "image_enc")
         self.project = [
             conv_params(self.store, f"project.s{s}", rng,
-                        cfg.image_widths[s], cfg.event_widths[s], 1, 1, dtype)
+                        cfg.image_widths[s], cfg.event_widths[s], 1, 1)
             for s in range(STAGES)
         ]
         self.recal = [
             init_recal_params(self.store, rng, cfg.image_widths[s], cfg.image_widths[s],
-                              prefix=f"marm.s{s}", dtype=dtype)
+                              prefix=f"marm.s{s}")
             for s in range(STAGES)
         ]
         self.fusion = [
             init_fusion_params(self.store, rng, cfg.image_widths[s], cfg.heads[s],
-                               cfg.reduction, prefix=f"mgfm.s{s}", dtype=dtype)
+                               cfg.reduction, prefix=f"mgfm.s{s}")
             for s in range(STAGES)
         ]
         self.decoder = init_decoder_params(
-            self.store, rng, cfg.image_widths, cfg.decoder_width, cfg.classes, dtype=dtype)
+            self.store, rng, cfg.image_widths, cfg.decoder_width, cfg.classes)
+        # parameters are drawn in float64; one cast gives the model's dtype
+        for _, t in self.store.items():
+            t.data = t.data.astype(dtype, copy=False)
 
     def forward(self, image, e_vt, a_cm):
         """[B,3,H,W] + [B,bins,H,W] event tensors -> [B,classes,H,W] logits."""
@@ -244,8 +238,7 @@ class Model:
         i_stages = encode_stages(image, self.image_enc)
         fused = []
         for s in range(STAGES):
-            w, b = self.project[s]
-            ev = ops.conv2d(e_stages[s], w, b)
+            ev = ops.conv2d(e_stages[s], *self.project[s])
             im = i_stages[s]
             if cfg.use_marm:
                 ev, im = recalibrate(ev, im, self.recal[s])

@@ -13,37 +13,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .params import conv_params, scalar_param
+from .params import Weights, conv_params
 from .tensor import ShapeError, Tensor, concat, narrow, tmax, tmean
 
 
 @dataclass
 class RecalParams:
-    ce_w: Tensor
-    ce_b: Tensor
-    ci_w: Tensor
-    ci_b: Tensor
-    s_w: Tensor
-    s_b: Tensor
+    ce: Weights
+    ci: Weights
+    spatial: Weights
     gamma_e: Tensor
     gamma_i: Tensor
 
 
-def init_recal_params(store, rng, c_event, c_image, prefix="marm", dtype=np.float32):
-    ce_w, ce_b = conv_params(store, f"{prefix}.ce", rng, c_event, c_event, 1, 1, dtype)
-    ci_w, ci_b = conv_params(store, f"{prefix}.ci", rng, c_image, c_image, 1, 1, dtype)
-    s_w, s_b = conv_params(store, f"{prefix}.spatial", rng, 2, 4, 7, 7, dtype)
-    gamma_e = scalar_param(store, f"{prefix}.gamma_e", 0.0, dtype)
-    gamma_i = scalar_param(store, f"{prefix}.gamma_i", 0.0, dtype)
-    return RecalParams(ce_w, ce_b, ci_w, ci_b, s_w, s_b, gamma_e, gamma_i)
+def init_recal_params(store, rng, c_event, c_image, prefix="marm"):
+    return RecalParams(
+        ce=conv_params(store, f"{prefix}.ce", rng, c_event, c_event, 1, 1),
+        ci=conv_params(store, f"{prefix}.ci", rng, c_image, c_image, 1, 1),
+        spatial=conv_params(store, f"{prefix}.spatial", rng, 2, 4, 7, 7),
+        gamma_e=store.add(f"{prefix}.gamma_e", np.zeros(())),
+        gamma_i=store.add(f"{prefix}.gamma_i", np.zeros(())),
+    )
 
 
 def channel_recalibrate(ev, im, p):
     """Rescale each stream by sigmoid gates over its pooled channels."""
     if ev.shape[2:] != im.shape[2:]:
         raise ShapeError(f"spatial dims differ: {ev.shape} vs {im.shape}")
-    w_e = ops.sigmoid(ops.conv2d(ops.gap(ev), p.ce_w, p.ce_b))
-    w_i = ops.sigmoid(ops.conv2d(ops.gap(im), p.ci_w, p.ci_b))
+    w_e = ops.sigmoid(ops.conv2d(ops.gap(ev), *p.ce))
+    w_i = ops.sigmoid(ops.conv2d(ops.gap(im), *p.ci))
     return ev * w_e, im * w_i
 
 
@@ -64,7 +62,7 @@ def spatial_masks(stats, p):
     """Two masks in (0,1): channel 0 gates events, channel 1 gates the image."""
     if stats.shape[1] != 4:
         raise ShapeError("spatial statistics tensor must have 4 channels")
-    return ops.sigmoid(ops.conv2d(stats, p.s_w, p.s_b, pad=3))
+    return ops.sigmoid(ops.conv2d(stats, *p.spatial, pad=3))
 
 
 def recalibrate(ev, im, p):

@@ -12,45 +12,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import ops
-from .params import conv_params, norm_params
-from .tensor import ShapeError, Tensor, reshape
+from .params import Norm, Weights, conv_params, norm_params
+from .tensor import ShapeError, reshape
 
 
 @dataclass
 class RefineParams:
-    stem_w: Tensor
-    stem_b: Tensor
-    p1_w: Tensor
-    p1_b: Tensor
-    p2_w: Tensor
-    p2_b: Tensor
-    cbr_w: Tensor
-    cbr_g: Tensor
-    cbr_beta: Tensor
-    attn_w: Tensor
-    attn_b: Tensor
-    mask_w: Tensor
-    mask_b: Tensor
-    width: int
+    stem: Weights
+    p1: Weights
+    p2: Weights
+    cbr: Weights
+    cbr_bn: Norm
+    attn: Weights
+    mask: Weights
 
 
-def init_refine_params(store, rng, width=8, prefix="aefrm", dtype=np.float32):
+def init_refine_params(store, rng, width=8, prefix="aefrm"):
     if width < 1:
         raise ValueError("refinement width must be >= 1")
-    stem_w, stem_b = conv_params(store, f"{prefix}.stem", rng, width, 1, 7, 7, dtype)
-    p1_w, p1_b = conv_params(store, f"{prefix}.p1", rng, width, 1, 3, 3, dtype)
-    p2_w, p2_b = conv_params(store, f"{prefix}.p2", rng, width, 1, 3, 3, dtype)
-    cbr_w, _ = conv_params(store, f"{prefix}.cbr", rng, width, width, 3, 3,
-                           dtype, bias=False)
-    cbr_g, cbr_beta = norm_params(store, f"{prefix}.cbr_bn", rng, width, dtype)
-    attn_w, attn_b = conv_params(store, f"{prefix}.attn", rng, width, width, 1, 1, dtype)
-    mask_w, mask_b = conv_params(store, f"{prefix}.mask", rng, 1, width, 1, 1, dtype)
     return RefineParams(
-        stem_w, stem_b, p1_w, p1_b, p2_w, p2_b,
-        cbr_w, cbr_g, cbr_beta, attn_w, attn_b, mask_w, mask_b, width,
+        stem=conv_params(store, f"{prefix}.stem", rng, width, 1, 7, 7),
+        p1=conv_params(store, f"{prefix}.p1", rng, width, 1, 3, 3),
+        p2=conv_params(store, f"{prefix}.p2", rng, width, 1, 3, 3),
+        cbr=conv_params(store, f"{prefix}.cbr", rng, width, width, 3, 3, bias=False),
+        cbr_bn=norm_params(store, f"{prefix}.cbr_bn", width),
+        attn=conv_params(store, f"{prefix}.attn", rng, width, width, 1, 1),
+        mask=conv_params(store, f"{prefix}.mask", rng, 1, width, 1, 1),
     )
 
 
@@ -61,22 +49,21 @@ def build_activity_pyramid(a_cm, p):
         raise ShapeError(f"spatial dims {h}x{w} must be divisible by 4")
     x = reshape(a_cm, (b * c, 1, h, w))
     target = (h // 4, w // 4)
-    f_s = ops.conv2d(x, p.stem_w, p.stem_b, stride=4, pad=3)
-    f_p1 = ops.conv2d(ops.pool2d(x, "avg", 3, 3), p.p1_w, p.p1_b, pad=1)
-    f_p2 = ops.conv2d(ops.pool2d(x, "avg", 5, 5), p.p2_w, p.p2_b, pad=1)
+    f_s = ops.conv2d(x, *p.stem, stride=4, pad=3)
+    f_p1 = ops.conv2d(ops.pool2d(x, "avg", 3, 3), *p.p1, pad=1)
+    f_p2 = ops.conv2d(ops.pool2d(x, "avg", 5, 5), *p.p2, pad=1)
     merged = f_s + ops.resample(f_p1, target) + ops.resample(f_p2, target)
-    return ops.relu(ops.batchnorm2d(ops.conv2d(merged, p.cbr_w, pad=1),
-                                    p.cbr_g, p.cbr_beta))
+    return ops.relu(ops.batchnorm2d(ops.conv2d(merged, *p.cbr, pad=1), *p.cbr_bn))
 
 
 def channel_weights(feat, p):
     """Per-channel gates in (0,1) from globally pooled pyramid features."""
-    return ops.sigmoid(ops.conv2d(ops.gap(feat), p.attn_w, p.attn_b))
+    return ops.sigmoid(ops.conv2d(ops.gap(feat), *p.attn))
 
 
 def attention_mask(feat, weights, target_hw, batch, channels, p):
     """Single-channel mask resampled to the event grid, [B,C,H,W]."""
-    m = ops.conv2d(feat * weights, p.mask_w, p.mask_b)
+    m = ops.conv2d(feat * weights, *p.mask)
     m = ops.resample(m, target_hw)
     return reshape(m, (batch, channels, *target_hw))
 

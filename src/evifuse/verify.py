@@ -42,9 +42,9 @@ def _rand(rng, shape):
     return Tensor(rng.standard_normal(shape), dtype=np.float64)
 
 
-def _randomize(store, rng, scale=0.5):
+def _randomize(store, rng):
     for _, t in store.items():
-        t.data = np.asarray(rng.standard_normal(t.shape) * scale, dtype=np.float64)
+        t.data = np.asarray(rng.standard_normal(t.shape) * 0.5, dtype=np.float64)
 
 
 def _probe(rng, shape):
@@ -54,7 +54,7 @@ def _probe(rng, shape):
 def refine_case(seed):
     rng = make_rng(seed)
     store = ParamStore()
-    p = init_refine_params(store, rng, width=4, dtype=np.float64)
+    p = init_refine_params(store, rng, width=4)
     _randomize(store, rng)
     e_vt = _rand(rng, (1, 2, 16, 16))
     a_cm = Tensor(np.abs(rng.standard_normal((1, 2, 16, 16))), dtype=np.float64)
@@ -69,7 +69,7 @@ def refine_case(seed):
 def recal_case(seed):
     rng = make_rng(seed)
     store = ParamStore()
-    p = init_recal_params(store, rng, c_event=3, c_image=4, dtype=np.float64)
+    p = init_recal_params(store, rng, c_event=3, c_image=4)
     _randomize(store, rng)
     ev = _rand(rng, (1, 3, 8, 8))
     im = _rand(rng, (1, 4, 8, 8))
@@ -86,8 +86,7 @@ def recal_case(seed):
 def fusion_case(seed):
     rng = make_rng(seed)
     store = ParamStore()
-    p = init_fusion_params(store, rng, channels=4, heads=2, reduction=2,
-                           dtype=np.float64)
+    p = init_fusion_params(store, rng, channels=4, heads=2, reduction=2)
     _randomize(store, rng)
     ev = _rand(rng, (1, 4, 8, 8))
     im = _rand(rng, (1, 4, 8, 8))
@@ -102,7 +101,7 @@ def fusion_case(seed):
 def encoder_case(seed):
     rng = make_rng(seed)
     store = ParamStore()
-    p = init_encoder_params(store, rng, 3, [2, 2, 2, 2], "enc", dtype=np.float64)
+    p = init_encoder_params(store, rng, 3, [2, 2, 2, 2], "enc")
     _randomize(store, rng)
     x = _rand(rng, (2, 3, 32, 32))
     dims = [(2, 2, 8, 8), (2, 2, 4, 4), (2, 2, 2, 2), (2, 2, 1, 1)]
@@ -122,8 +121,7 @@ def decoder_case(seed):
     rng = make_rng(seed)
     store = ParamStore()
     widths = [2, 3, 2, 3]
-    p = init_decoder_params(store, rng, widths, decoder_width=2, classes=2,
-                            dtype=np.float64)
+    p = init_decoder_params(store, rng, widths, decoder_width=2, classes=2)
     _randomize(store, rng)
     dims = [(16, 16), (8, 8), (4, 4), (2, 2)]
     stages = [_rand(rng, (1, c, h, w)) for c, (h, w) in zip(widths, dims)]

@@ -269,6 +269,20 @@ class TestAblate:
             assert np.isfinite(final_loss)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["train-toy", "ablate"])
+def test_divergence_exits_1_without_traceback(command, small_config, scene_dir,
+                                              tmp_path, capsys):
+    args = [command, "--config", small_config, "--scene", scene_dir,
+            "--steps", "3", "--lr", "1e30"]
+    if command == "train-toy":
+        args += ["--out", str(tmp_path / "history.csv")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "training diverged" in err
+    assert "Traceback" not in err
+
+
 class TestSweepDuration:
     def test_three_durations_shape_identical(self, small_config, scene_dir,
                                              tmp_path, capsys):

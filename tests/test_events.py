@@ -329,7 +329,7 @@ class TestWindow:
     def test_idempotent(self, rng):
         events = parse("10,1,1,1\n60,2,2,1\n90,3,3,1\n")
         win = window(events, 100, 80, DIMS)
-        again = window(win, win.t_end_us, win.duration_us, DIMS)
+        again = window(win, win.t_end_us, win.t_end_us - win.t_start_us, DIMS)
         assert rows(again) == rows(win)
         bounds = ("t_start_us", "t_end_us", "height", "width")
         assert [getattr(again, b) for b in bounds] == [getattr(win, b) for b in bounds]

@@ -16,10 +16,9 @@ from evifuse.tensor import (
 from _oracles import attention_naive, differential_attention_naive, pool2d_naive
 
 
-def make_params(seed=1, channels=4, heads=2, reduction=2, dtype=np.float64):
+def make_params(seed=1, channels=4, heads=2, reduction=2):
     store = ParamStore()
-    p = init_fusion_params(store, make_rng(seed), channels, heads, reduction,
-                           dtype=dtype)
+    p = init_fusion_params(store, make_rng(seed), channels, heads, reduction)
     return p, store
 
 
@@ -51,13 +50,13 @@ def _diff_attention_oracle(x, y, p):
     """Numpy re-implementation via the naive per-token attention oracle."""
     b, c, h, w = x.shape
     xt, yt = _tokens(x.data), _tokens(y.data)
-    q1 = _heads(xt @ p.q1_w.data + p.q1_b.data, p.heads)
-    q2 = _heads(xt @ p.q2_w.data + p.q2_b.data, p.heads)
-    k1 = _heads(yt @ p.k1_w.data, p.heads)
-    k2 = _heads(yt @ p.k2_w.data, p.heads)
-    v = _heads(yt @ p.v_w.data + p.v_b.data, p.heads)
+    q1 = _heads(xt @ p.q1.w.data + p.q1.b.data, p.heads)
+    q2 = _heads(xt @ p.q2.w.data + p.q2.b.data, p.heads)
+    k1 = _heads(yt @ p.k1.w.data, p.heads)
+    k2 = _heads(yt @ p.k2.w.data, p.heads)
+    v = _heads(yt @ p.v.w.data + p.v.b.data, p.heads)
     att = differential_attention_naive(q1, q2, k1, k2, v, p.lam.data)
-    out = _merge(att) @ p.eo_w.data + p.eo_b.data
+    out = _merge(att) @ p.eo.w.data + p.eo.b.data
     return out.reshape(b, h, w, c).transpose(0, 3, 1, 2) + x.data
 
 
@@ -68,13 +67,13 @@ class TestInitContracts:
 
     def test_gate_logit_conv_starts_as_identity(self):
         p, _ = make_params()
-        np.testing.assert_array_equal(p.gg_w.data, np.eye(2).reshape(2, 2, 1, 1))
-        np.testing.assert_array_equal(p.gg_b.data, np.zeros(2))
+        np.testing.assert_array_equal(p.gate_g.w.data, np.eye(2).reshape(2, 2, 1, 1))
+        np.testing.assert_array_equal(p.gate_g.b.data, np.zeros(2))
 
     def test_norm_affine_starts_neutral(self):
         p, _ = make_params()
-        np.testing.assert_array_equal(p.ln_g.data, np.ones(4))
-        np.testing.assert_array_equal(p.ln_b.data, np.zeros(4))
+        np.testing.assert_array_equal(p.ln.g.data, np.ones(4))
+        np.testing.assert_array_equal(p.ln.b.data, np.zeros(4))
 
     def test_head_mismatch_rejected_at_init(self):
         with pytest.raises(ValueError):
@@ -88,18 +87,18 @@ class TestDifferentialAttention:
         x, y = rand_t(rng, (1, 4, 4, 4)), rand_t(rng, (1, 4, 4, 4))
         got = differential_attention(x, y, p).data
         xt, yt = _tokens(x.data), _tokens(y.data)
-        q1 = _heads(xt @ p.q1_w.data + p.q1_b.data, 2)
-        k1 = _heads(yt @ p.k1_w.data, 2)
-        v = _heads(yt @ p.v_w.data + p.v_b.data, 2)
-        plain = _merge(attention_naive(q1, k1, v)) @ p.eo_w.data + p.eo_b.data
+        q1 = _heads(xt @ p.q1.w.data + p.q1.b.data, 2)
+        k1 = _heads(yt @ p.k1.w.data, 2)
+        v = _heads(yt @ p.v.w.data + p.v.b.data, 2)
+        plain = _merge(attention_naive(q1, k1, v)) @ p.eo.w.data + p.eo.b.data
         expected = plain.reshape(1, 4, 4, 4).transpose(0, 3, 1, 2) + x.data
         np.testing.assert_allclose(got, expected, atol=1e-6)
 
     def test_equal_projections_unit_lambda_cancel_to_residual(self, rng):
         p, _ = make_params()
-        p.q2_w.data = p.q1_w.data.copy()
-        p.q2_b.data = p.q1_b.data.copy()
-        p.k2_w.data = p.k1_w.data.copy()
+        p.q2.w.data = p.q1.w.data.copy()
+        p.q2.b.data = p.q1.b.data.copy()
+        p.k2.w.data = p.k1.w.data.copy()
         p.lam.data = np.ones_like(p.lam.data)
         x, y = rand_t(rng, (1, 4, 4, 4)), rand_t(rng, (1, 4, 4, 4))
         out = differential_attention(x, y, p)
@@ -235,10 +234,10 @@ class TestEfficientCrossAttention:
         x, y = rand_t(rng, (1, 4, 4, 4)), rand_t(rng, (1, 4, 4, 4))
         got = efficient_cross_attention(x, y, p).data
         xt, yt = _tokens(x.data), _tokens(y.data)
-        q = _heads(xt @ p.cq_w.data + p.cq_b.data, 2)
-        k = _heads(yt @ p.ck_w.data, 2)
-        v = _heads(yt @ p.cv_w.data + p.cv_b.data, 2)
-        out = _merge(attention_naive(q, k, v)) @ p.co_w.data + p.co_b.data
+        q = _heads(xt @ p.cq.w.data + p.cq.b.data, 2)
+        k = _heads(yt @ p.ck.w.data, 2)
+        v = _heads(yt @ p.cv.w.data + p.cv.b.data, 2)
+        out = _merge(attention_naive(q, k, v)) @ p.co.w.data + p.co.b.data
         expected = out.reshape(1, 4, 4, 4).transpose(0, 3, 1, 2) + x.data
         np.testing.assert_allclose(got, expected, atol=1e-6)
 
@@ -257,10 +256,10 @@ class TestEfficientCrossAttention:
         got = efficient_cross_attention(x, y, p).data
         y_red = pool2d_naive(y.data, "avg", 2, 2, 0)
         xt, yt = _tokens(x.data), _tokens(y_red)
-        q = _heads(xt @ p.cq_w.data + p.cq_b.data, 2)
-        k = _heads(yt @ p.ck_w.data, 2)
-        v = _heads(yt @ p.cv_w.data + p.cv_b.data, 2)
-        out = _merge(attention_naive(q, k, v)) @ p.co_w.data + p.co_b.data
+        q = _heads(xt @ p.cq.w.data + p.cq.b.data, 2)
+        k = _heads(yt @ p.ck.w.data, 2)
+        v = _heads(yt @ p.cv.w.data + p.cv.b.data, 2)
+        out = _merge(attention_naive(q, k, v)) @ p.co.w.data + p.co.b.data
         expected = out.reshape(1, 4, 4, 4).transpose(0, 3, 1, 2) + x.data
         np.testing.assert_allclose(got, expected, atol=1e-6)
 
@@ -274,13 +273,13 @@ class TestEfficientCrossAttention:
 class TestGate:
     def test_zero_logit_conv_gives_even_gates(self, rng):
         p, _ = make_params()
-        _zero(p.gg_w, p.gg_b)
+        _zero(p.gate_g.w, p.gate_g.b)
         g = gate(rand_t(rng, (1, 4, 8, 8)), rand_t(rng, (1, 4, 8, 8)), p)
         np.testing.assert_allclose(g.data, 0.5, atol=1e-12)
 
     def test_gates_sum_to_one(self, rng):
         p, _ = make_params()
-        for t in (p.gg_w, p.gg_b, p.gs_w, p.gc_w):
+        for t in (p.gate_g.w, p.gate_g.b, p.gate_s.w, p.gate_c.w):
             t.data = np.asarray(rng.standard_normal(t.shape))
         g = gate(rand_t(rng, (2, 4, 8, 8)), rand_t(rng, (2, 4, 8, 8)), p)
         np.testing.assert_allclose(g.data.sum(axis=1), 1.0, atol=1e-6)
@@ -290,7 +289,7 @@ class TestGate:
         from _oracles import conv2d_naive
 
         p, _ = make_params()
-        for t in (p.gc_g, p.gc_beta, p.gs_g, p.gs_beta, p.gg_w, p.gg_b):
+        for t in (p.gate_c_bn.g, p.gate_c_bn.b, p.gate_s_bn.g, p.gate_s_bn.b, p.gate_g.w, p.gate_g.b):
             t.data = np.asarray(rng.standard_normal(t.shape) * 0.5)
         ev, im = rand_t(rng, (2, 4, 6, 6)), rand_t(rng, (2, 4, 6, 6))
         got = gate(ev, im, p).data
@@ -304,11 +303,11 @@ class TestGate:
             xhat = (x - mu) / np.sqrt(var + 1e-5)
             return g.reshape(1, -1, 1, 1) * xhat + b.reshape(1, -1, 1, 1)
 
-        a_c = np.maximum(bn(conv2d_naive(pooled, p.gc_w.data, None, 1, 0),
-                            p.gc_g.data, p.gc_beta.data), 0)
-        a_s = np.maximum(bn(conv2d_naive(fused, p.gs_w.data, None, 1, 3),
-                            p.gs_g.data, p.gs_beta.data), 0)
-        logits = conv2d_naive(a_c + a_s, p.gg_w.data, p.gg_b.data, 1, 0)
+        a_c = np.maximum(bn(conv2d_naive(pooled, p.gate_c.w.data, None, 1, 0),
+                            p.gate_c_bn.g.data, p.gate_c_bn.b.data), 0)
+        a_s = np.maximum(bn(conv2d_naive(fused, p.gate_s.w.data, None, 1, 3),
+                            p.gate_s_bn.g.data, p.gate_s_bn.b.data), 0)
+        logits = conv2d_naive(a_c + a_s, p.gate_g.w.data, p.gate_g.b.data, 1, 0)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected = e / e.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(got, expected, atol=1e-6)
@@ -350,7 +349,7 @@ class TestFuse:
 class TestEnhance:
     def test_zeroed_second_ffn_conv_is_identity(self, rng):
         p, _ = make_params()
-        _zero(p.f2_w, p.f2_b)
+        _zero(p.ffn2.w, p.ffn2.b)
         x = rand_t(rng, (1, 4, 8, 8))
         np.testing.assert_array_equal(enhance(x, p).data, x.data)
 
@@ -363,7 +362,7 @@ class TestEnhance:
 class TestFusionForward:
     def test_zeroed_projections_and_gate_give_stream_mean(self, rng):
         p, _ = make_params()
-        _zero(p.eo_w, p.eo_b, p.co_w, p.co_b, p.gg_w, p.gg_b, p.f2_w, p.f2_b)
+        _zero(p.eo.w, p.eo.b, p.co.w, p.co.b, p.gate_g.w, p.gate_g.b, p.ffn2.w, p.ffn2.b)
         ev, im = rand_t(rng, (1, 4, 8, 8)), rand_t(rng, (1, 4, 8, 8))
         out = fusion_forward(ev, im, p)
         np.testing.assert_allclose(out.data, (ev.data + im.data) / 2, atol=1e-12)

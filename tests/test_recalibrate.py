@@ -13,9 +13,9 @@ from evifuse.tensor import ShapeError, Tensor
 from _oracles import conv2d_naive
 
 
-def make_params(seed=1, c_event=3, c_image=4, dtype=np.float64):
+def make_params(seed=1, c_event=3, c_image=4):
     store = ParamStore()
-    return init_recal_params(store, make_rng(seed), c_event, c_image, dtype=dtype), store
+    return init_recal_params(store, make_rng(seed), c_event, c_image), store
 
 
 def rand_t(rng, shape):
@@ -34,13 +34,13 @@ class TestInitContracts:
 
     def test_spatial_conv_shape(self):
         p, _ = make_params()
-        assert p.s_w.shape == (2, 4, 7, 7)
+        assert p.spatial.w.shape == (2, 4, 7, 7)
 
 
 class TestChannelRecalibrate:
     def test_zero_conv_halves_both_streams(self, rng):
         p, _ = make_params()
-        for t in (p.ce_w, p.ce_b, p.ci_w, p.ci_b):
+        for t in (p.ce.w, p.ce.b, p.ci.w, p.ci.b):
             _zero(t)
         ev, im = rand_t(rng, (1, 3, 8, 8)), rand_t(rng, (1, 4, 8, 8))
         ev_c, im_c = channel_recalibrate(ev, im, p)
@@ -58,7 +58,7 @@ class TestChannelRecalibrate:
         p, _ = make_params()
         ev, im = rand_t(rng, (2, 3, 6, 6)), rand_t(rng, (2, 4, 6, 6))
         ev_c, im_c = channel_recalibrate(ev, im, p)
-        for stream, (w, b, c) in ((ev, (p.ce_w, p.ce_b, 3)), (im, (p.ci_w, p.ci_b, 4))):
+        for stream, (w, b, c) in ((ev, (p.ce.w, p.ce.b, 3)), (im, (p.ci.w, p.ci.b, 4))):
             pooled = stream.data.mean(axis=(2, 3))
             logits = pooled @ w.data.reshape(c, c).T + b.data
             gates = 1.0 / (1.0 + np.exp(-logits))
@@ -102,8 +102,8 @@ class TestSpatialStats:
 class TestSpatialMasks:
     def test_zero_conv_gives_half(self, rng):
         p, _ = make_params()
-        _zero(p.s_w)
-        _zero(p.s_b)
+        _zero(p.spatial.w)
+        _zero(p.spatial.b)
         masks = spatial_masks(rand_t(rng, (1, 4, 8, 8)), p)
         np.testing.assert_allclose(masks.data, 0.5)
 
@@ -117,7 +117,7 @@ class TestSpatialMasks:
         p, _ = make_params()
         stats = rand_t(rng, (1, 4, 6, 6))
         got = spatial_masks(stats, p).data
-        conv = conv2d_naive(stats.data, p.s_w.data, p.s_b.data, 1, 3)
+        conv = conv2d_naive(stats.data, p.spatial.w.data, p.spatial.b.data, 1, 3)
         np.testing.assert_allclose(got, 1.0 / (1.0 + np.exp(-conv)), atol=1e-6)
 
     def test_needs_four_stat_channels(self, rng):
@@ -138,7 +138,7 @@ class TestRecalibrate:
         # E_c = E/2 (zeroed channel conv), mask forced to 1, gamma 1:
         # E/2 * 1 * 1 + E = 1.5 E
         p, _ = make_params()
-        for t in (p.ce_w, p.ce_b, p.ci_w, p.ci_b):
+        for t in (p.ce.w, p.ce.b, p.ci.w, p.ci.b):
             _zero(t)
         ev, im = rand_t(rng, (1, 3, 8, 8)), rand_t(rng, (1, 4, 8, 8))
         ev_c, _ = channel_recalibrate(ev, im, p)
@@ -148,9 +148,9 @@ class TestRecalibrate:
 
     def test_saturated_mask_approaches_one_and_a_half(self, rng):
         p, _ = make_params()
-        for t in (p.ce_w, p.ce_b, p.ci_w, p.ci_b, p.s_w):
+        for t in (p.ce.w, p.ce.b, p.ci.w, p.ci.b, p.spatial.w):
             _zero(t)
-        p.s_b.data = np.full_like(p.s_b.data, 40.0)  # sigmoid -> 1
+        p.spatial.b.data = np.full_like(p.spatial.b.data, 40.0)  # sigmoid -> 1
         p.gamma_e.data = np.asarray(1.0)
         ev, im = rand_t(rng, (1, 3, 8, 8)), rand_t(rng, (1, 4, 8, 8))
         ev_rec, _ = recalibrate(ev, im, p)
@@ -161,7 +161,7 @@ class TestRecalibrate:
         # the event output must become independent of the image stream
         p, _ = make_params()
         p.gamma_e.data = np.asarray(0.8)
-        p.s_w.data[:, 2:4] = 0.0
+        p.spatial.w.data[:, 2:4] = 0.0
         ev = rand_t(rng, (1, 3, 8, 8))
         im_a, im_b = rand_t(rng, (1, 4, 8, 8)), rand_t(rng, (1, 4, 8, 8))
         ev_rec_a, _ = recalibrate(ev, im_a, p)

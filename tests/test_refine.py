@@ -12,9 +12,9 @@ from evifuse.refine import (
 from evifuse.tensor import ShapeError, Tensor
 
 
-def make_params(seed=1, width=4, dtype=np.float64):
+def make_params(seed=1, width=4):
     store = ParamStore()
-    p = init_refine_params(store, make_rng(seed), width, dtype=dtype)
+    p = init_refine_params(store, make_rng(seed), width)
     return p, store
 
 
@@ -45,13 +45,13 @@ class TestActivityPyramid:
         # is 49c (stem) + 9c + 9c (pooled branches)
         p, _ = make_params(width=1)
         c = 0.37
-        for t in (p.stem_w, p.p1_w, p.p2_w):
+        for t in (p.stem.w, p.p1.w, p.p2.w):
             t.data = np.ones_like(t.data)
         a_cm = Tensor(np.full((1, 1, 32, 32), c), dtype=np.float64)
         x = Tensor(a_cm.data.reshape(1, 1, 32, 32))
-        f_s = ops.conv2d(x, p.stem_w, p.stem_b, stride=4, pad=3)
-        f_p1 = ops.conv2d(ops.pool2d(x, "avg", 3, 3), p.p1_w, p.p1_b, pad=1)
-        f_p2 = ops.conv2d(ops.pool2d(x, "avg", 5, 5), p.p2_w, p.p2_b, pad=1)
+        f_s = ops.conv2d(x, p.stem.w, p.stem.b, stride=4, pad=3)
+        f_p1 = ops.conv2d(ops.pool2d(x, "avg", 3, 3), p.p1.w, p.p1.b, pad=1)
+        f_p2 = ops.conv2d(ops.pool2d(x, "avg", 5, 5), p.p2.w, p.p2.b, pad=1)
         merged = (f_s + ops.resample(f_p1, (8, 8)) + ops.resample(f_p2, (8, 8))).data
         np.testing.assert_allclose(merged[0, 0, 2:6, 2:6], 67 * c, rtol=1e-6)
 
@@ -59,8 +59,8 @@ class TestActivityPyramid:
 class TestChannelWeights:
     def test_zero_conv_gives_half(self, rng):
         p, _ = make_params()
-        p.attn_w.data = np.zeros_like(p.attn_w.data)
-        p.attn_b.data = np.zeros_like(p.attn_b.data)
+        p.attn.w.data = np.zeros_like(p.attn.w.data)
+        p.attn.b.data = np.zeros_like(p.attn.b.data)
         feat = rand_t(rng, (2, 4, 8, 8))
         w = channel_weights(feat, p)
         np.testing.assert_allclose(w.data, 0.5)
@@ -72,8 +72,8 @@ class TestChannelWeights:
 
     def test_identity_conv_on_constant_features(self):
         p, _ = make_params()
-        p.attn_w.data = np.eye(4).reshape(4, 4, 1, 1)
-        p.attn_b.data = np.zeros_like(p.attn_b.data)
+        p.attn.w.data = np.eye(4).reshape(4, 4, 1, 1)
+        p.attn.b.data = np.zeros_like(p.attn.b.data)
         v = -0.83
         feat = Tensor(np.full((2, 4, 8, 8), v), dtype=np.float64)
         w = channel_weights(feat, p)
@@ -84,8 +84,8 @@ class TestChannelWeights:
         feat = rand_t(rng, (2, 4, 6, 6))
         got = channel_weights(feat, p).data
         pooled = feat.data.mean(axis=(2, 3))  # [B, C]
-        wm = p.attn_w.data.reshape(4, 4)
-        logits = pooled @ wm.T + p.attn_b.data
+        wm = p.attn.w.data.reshape(4, 4)
+        logits = pooled @ wm.T + p.attn.b.data
         expected = 1.0 / (1.0 + np.exp(-logits))
         np.testing.assert_allclose(got[:, :, 0, 0], expected, atol=1e-6)
 
@@ -93,8 +93,8 @@ class TestChannelWeights:
 class TestAttentionMask:
     def test_zero_mask_conv_gives_zero(self, rng):
         p, _ = make_params()
-        p.mask_w.data = np.zeros_like(p.mask_w.data)
-        p.mask_b.data = np.zeros_like(p.mask_b.data)
+        p.mask.w.data = np.zeros_like(p.mask.w.data)
+        p.mask.b.data = np.zeros_like(p.mask.b.data)
         feat = rand_t(rng, (2, 4, 4, 4))
         w = channel_weights(feat, p)
         m = attention_mask(feat, w, (16, 16), 1, 2, p)
@@ -105,8 +105,8 @@ class TestAttentionMask:
         # single-channel width with a pass-through 1x1 conv: the mask is just
         # the resampled pyramid features
         p, _ = make_params(width=1)
-        p.mask_w.data = np.ones_like(p.mask_w.data)
-        p.mask_b.data = np.zeros_like(p.mask_b.data)
+        p.mask.w.data = np.ones_like(p.mask.w.data)
+        p.mask.b.data = np.zeros_like(p.mask.b.data)
         feat = rand_t(rng, (2, 1, 4, 4))
         ones = Tensor(np.ones((2, 1, 1, 1)), dtype=np.float64)
         m = attention_mask(feat, ones, (16, 16), 2, 1, p)
@@ -119,8 +119,8 @@ class TestAttentionMask:
         w = channel_weights(feat, p)
         got = attention_mask(feat, w, (8, 8), 2, 1, p).data
         gated = feat.data * w.data
-        conv = np.einsum("ok,bkhw->bohw", p.mask_w.data[:, :, 0, 0], gated)
-        conv = conv + p.mask_b.data.reshape(1, 1, 1, 1)
+        conv = np.einsum("ok,bkhw->bohw", p.mask.w.data[:, :, 0, 0], gated)
+        conv = conv + p.mask.b.data.reshape(1, 1, 1, 1)
         up = ops.resample(Tensor(conv), (8, 8)).data
         np.testing.assert_allclose(got, up.reshape(2, 1, 8, 8), atol=1e-6)
 
@@ -152,8 +152,8 @@ class TestRefine:
 class TestRefineForward:
     def test_zeroed_mask_conv_is_identity_on_events(self, rng):
         p, _ = make_params()
-        p.mask_w.data = np.zeros_like(p.mask_w.data)
-        p.mask_b.data = np.zeros_like(p.mask_b.data)
+        p.mask.w.data = np.zeros_like(p.mask.w.data)
+        p.mask.b.data = np.zeros_like(p.mask.b.data)
         e_vt = rand_t(rng, (1, 3, 32, 32))
         a_cm = Tensor(np.abs(rng.standard_normal((1, 3, 32, 32))), dtype=np.float64)
         out = refine_forward(e_vt, a_cm, p)
