@@ -19,7 +19,7 @@ from .network import (
     load_config, metrics, train_toy,
 )
 from .synth import load_scene, save_scene, synth_scene
-from .tensor import Tensor
+from .tensor import NonFiniteError, Tensor
 from .tensorio import write_tensor
 from .verify import CLI_CHOICES, TOLERANCE, run_checks
 
@@ -231,6 +231,9 @@ def main(argv=None):
         return args.func(args)
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
+        return 1
+    except NonFiniteError as exc:
+        print(f"non-finite value in the network: {exc}", file=sys.stderr)
         return 1
     except (CliError, ConfigError, EventParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,13 +6,18 @@ hand-written adjoint; all adjoints are covered by the finite difference
 suite.
 
 Conventions fixed here:
+  - conv2d has two lowerings and picks by shape alone: a GEMM over an
+    im2col window copy (Cin*kh*kw*Ho*Wo values), or, when that holds more
+    values than Cout*kh*kw*Hp*Wp, one GEMM over the padded input followed
+    by a strided shift-sum over the kernel taps (kn2row)
   - avg pooling divides by the full kernel area (zero padding counts as
     zeros); max pooling pads with -inf so padding never wins
   - batchnorm uses current-batch statistics, gradients flow through them
   - bilinear resampling maps dst -> (dst + 0.5) * scale - 0.5, edge-clamped
     (align-corners=false)
   - attention (plain and dual-softmax differential) walks query blocks and
-    recomputes probabilities in backward (FlashAttention, Dao et al. 2022)
+    recomputes probabilities in backward (FlashAttention, Dao et al. 2022);
+    the queries are scaled by 1/sqrt(d) once, before the score GEMMs
 """
 
 from __future__ import annotations
@@ -77,9 +82,71 @@ def _scatter_windows(grad_cols, in_shape, kh, kw, stride, pad):
     return gxp
 
 
+def _conv_im2col(xp, wt, stride, out_h, out_w, x_shape, pad):
+    """Lowering with one [Cin*kh*kw, Ho*Wo] window copy and one GEMM."""
+    b, cin = xp.shape[:2]
+    cout, _, kh, kw = wt.shape
+    colm = _window_view(xp, kh, kw, stride, out_h, out_w).reshape(
+        b, cin * kh * kw, out_h * out_w)
+    wm = wt.reshape(cout, cin * kh * kw)
+    out = np.matmul(wm, colm).reshape(b, cout, out_h, out_w)
+
+    def adjoint(g):
+        gm = g.reshape(b, cout, out_h * out_w)
+        gw = np.einsum("bon,bkn->ok", gm, colm).reshape(wt.shape)
+        gcols = np.matmul(wm.T, gm).reshape(b, cin, kh, kw, out_h, out_w)
+        return _scatter_windows(gcols, x_shape, kh, kw, stride, pad), gw
+
+    return out, adjoint
+
+
+def _tap_view(y, cout, kh, kw, wp, stride, out_h, out_w):
+    """[B, Cout, kh, kw, Ho, Wo] view of Y = W'.xp of shape [B, Cout*kh*kw, N].
+
+    Row (o, i, j) of Y is tap (i, j) of output channel o applied at every
+    padded pixel; output (y, x) takes it from pixel (y*s + i, x*s + j), so
+    the taps of one output lie at a fixed stride from each other.
+    """
+    b, _, n = y.shape
+    e = y.itemsize
+    strides = (y.strides[0], kh * kw * n * e, (kw * n + wp) * e, (n + 1) * e,
+               stride * wp * e, stride * e)
+    # the constructor, unlike as_strided, also checks the view against y's
+    # buffer (y is always a fresh contiguous array here)
+    return np.ndarray((b, cout, kh, kw, out_h, out_w), y.dtype, y, 0, strides)
+
+
+def _conv_shift_sum(xp, wt, stride, out_h, out_w, x_shape, pad):
+    """Lowering with one [Cout*kh*kw, Hp*Wp] GEMM and a strided shift-sum.
+
+    The kn2row family of GEMM convolutions (Vasudevan, Anderson and Gregg
+    2017): no window copy of the input, at the price of computing every
+    tap at every padded pixel.
+    """
+    b, cin, hp, wp = xp.shape
+    cout, _, kh, kw = wt.shape
+    xf = xp.reshape(b, cin, hp * wp)
+    wk = wt.transpose(0, 2, 3, 1).reshape(cout * kh * kw, cin)
+    y = np.matmul(wk, xf)
+    out = _tap_view(y, cout, kh, kw, wp, stride, out_h, out_w).sum(axis=(2, 3))
+
+    def adjoint(g):
+        # built afresh, so the tape holds no Y-sized array between passes
+        gy = np.zeros((b, cout * kh * kw, hp * wp), dtype=g.dtype)
+        # the taps of distinct (output, tap) pairs never share an element
+        _tap_view(gy, cout, kh, kw, wp, stride, out_h, out_w)[...] = g[:, :, None, None]
+        gw = np.tensordot(gy, xf, axes=((0, 2), (0, 2)))
+        gxp = np.matmul(wk.T, gy).reshape(xp.shape)
+        h, w = x_shape[2:]
+        return (gxp[:, :, pad:pad + h, pad:pad + w],
+                gw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
+
+    return out, adjoint
+
+
 def conv2d(x, weight, bias=None, stride=1, pad=0):
     """Cross-correlation of [B,Cin,H,W] with [Cout,Cin,kh,kw] kernels."""
-    b, cin, h, w = x.shape
+    _, cin, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
     if cin != cin_w:
         raise ShapeError(f"input has {cin} channels, weight expects {cin_w}")
@@ -89,25 +156,19 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
     out_w = _out_extent(w, kw, stride, pad)
 
     xp = _pad2d(x.data, pad)
-    cols = _window_view(xp, kh, kw, stride, out_h, out_w)
-    colm = cols.reshape(b, cin * kh * kw, out_h * out_w)
-    wm = weight.data.reshape(cout, cin * kh * kw)
-    out = np.matmul(wm, colm).reshape(b, cout, out_h, out_w)
-    if bias is not None:
-        out = out + bias.data.reshape(1, cout, 1, 1)
+    # the lowering that materialises fewer values: kh*kw*Cout*Hp*Wp GEMM
+    # outputs or kh*kw*Cin*Ho*Wo window copies
+    hp, wp = xp.shape[2:]
+    lower = _conv_shift_sum if cout * hp * wp < cin * out_h * out_w else _conv_im2col
+    out, adjoint = lower(xp, weight.data, stride, out_h, out_w, x.shape, pad)
+    if bias is None:
+        return _make(out, (x, weight), adjoint)
+    out = out + bias.data.reshape(1, cout, 1, 1)
 
     def bwd(g):
-        gm = g.reshape(b, cout, out_h * out_w)
-        gw = np.einsum("bon,bkn->ok", gm, colm).reshape(weight.shape)
-        gcols = np.matmul(wm.T, gm).reshape(b, cin, kh, kw, out_h, out_w)
-        gx = _scatter_windows(gcols, x.shape, kh, kw, stride, pad)
-        gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
-        return gx, gw, gb
+        return (*adjoint(g), g.sum(axis=(0, 2, 3)))
 
-    inputs = (x, weight, bias) if bias is not None else (x, weight)
-    if bias is None:
-        return _make(out, inputs, lambda g: bwd(g)[:2])
-    return _make(out, inputs, bwd)
+    return _make(out, (x, weight, bias), bwd)
 
 
 def pool2d(x, kind, kernel, stride, pad=0):
@@ -325,11 +386,11 @@ def _block_rows(batch_heads, keys, itemsize):
     return max(1, _ATTN_BLOCK_BYTES // (batch_heads * keys * itemsize))
 
 
-def _exp_scores(q, kt, scale, rowmax=None):
-    """exp(scale * (q.k^T - rowmax)) for one query block, plus the row max.
+def _exp_scores(q, kt, rowmax=None):
+    """exp(q.k^T - rowmax) for one block of pre-scaled queries, plus the row max.
 
     The row max (and the block min) double as the finiteness check of the
-    raw scores: a NaN row has a NaN max, +Inf shows in the max, -Inf in the
+    scores: a NaN row has a NaN max, +Inf shows in the max, -Inf in the
     min. With ``rowmax`` given (backward) the scores were checked already.
     """
     s = np.matmul(q, kt)
@@ -338,7 +399,6 @@ def _exp_scores(q, kt, scale, rowmax=None):
         if not (np.isfinite(rowmax).all() and math.isfinite(s.min())):
             raise NonFiniteError("attention scores hold NaN/Inf values")
     s -= rowmax
-    s *= scale
     np.exp(s, out=s)
     return s, rowmax
 
@@ -369,14 +429,17 @@ def _attention(qs, ks, v, coef):
     dtype = np.result_type(*qs, *ks, v)
     scale = 1.0 / math.sqrt(d)
     rows = _block_rows(b * h, nk, dtype.itemsize)
-    kts = [np.swapaxes(k, -1, -2) for k in ks]
+    # scaling the queries once replaces a pass over every block of scores;
+    # a contiguous k^T keeps the block score GEMM off a transposed operand
+    qs = [q * scale for q in qs]
+    kts = [np.ascontiguousarray(np.swapaxes(k, -1, -2)) for k in ks]
     outs = [np.empty((b, h, n, dv), dtype=dtype) for _ in qs]
     maxs = [np.empty((b, h, n, 1), dtype=dtype) for _ in qs]
     sums = [np.empty((b, h, n, 1), dtype=dtype) for _ in qs]
     for r0 in range(0, n, rows):
         blk = np.s_[..., r0:r0 + rows, :]
         for q, kt, o, m, z in zip(qs, kts, outs, maxs, sums):
-            e, m[blk] = _exp_scores(q[blk], kt, scale)
+            e, m[blk] = _exp_scores(q[blk], kt)
             z[blk] = e.sum(axis=-1, keepdims=True)
             o[blk] = np.matmul(e, v) / z[blk]
     out = outs[0]
@@ -384,7 +447,7 @@ def _attention(qs, ks, v, coef):
         out = out + c * o
 
     def bwd(g):
-        vt = np.swapaxes(v, -1, -2)
+        vt = np.ascontiguousarray(np.swapaxes(v, -1, -2))
         gv = np.zeros_like(v)
         gqs = [np.empty_like(q) for q in qs]
         gks = [np.zeros_like(k) for k in ks]
@@ -396,13 +459,17 @@ def _attention(qs, ks, v, coef):
             gp = np.matmul(gb, vt)
             for q, k, kt, m, z, c, dot, gq, gk in zip(
                     qs, ks, kts, maxs, sums, coef, dots, gqs, gks):
-                p, _ = _exp_scores(q[blk], kt, scale, m[blk])
+                p, _ = _exp_scores(q[blk], kt, m[blk])
                 p /= z[blk]
                 gv += c * np.matmul(np.swapaxes(p, -1, -2), gb)
                 p *= gp - dot[blk]
-                p *= c * scale
                 gq[blk] = np.matmul(p, k)
                 gk += np.matmul(np.swapaxes(p, -1, -2), q[blk])
+        # each branch's factor, and for the queries the pre-scaling, applied
+        # once to the O(N*d) gradients rather than to every block of scores
+        for c, gq, gk in zip(coef, gqs, gks):
+            gq *= c * scale
+            gk *= c
         return gqs, gks, gv, dots
 
     return out, bwd

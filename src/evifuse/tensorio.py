@@ -23,12 +23,27 @@ class TensorFormatError(ValueError):
     """Malformed EIFT payload."""
 
 
+def _first_non_finite(values):
+    """Index of the first NaN/Inf in ``values``, or None when all are finite."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    return tuple(int(i) for i in np.argwhere(~finite)[0])
+
+
 def write_tensor(path, tensor):
+    """Write ``tensor`` as float32; raises before opening ``path`` if any value
+    is NaN/Inf or overflows float32, since ``read_tensor`` would reject it."""
     data = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor)
     dims = data.shape
     if len(dims) > MAX_RANK:
         raise TensorFormatError(f"rank {len(dims)} exceeds limit {MAX_RANK}")
-    payload = np.ascontiguousarray(data, dtype="<f4")
+    with np.errstate(over="ignore"):  # an overflow becomes Inf, rejected next
+        payload = np.asarray(data, dtype="<f4")
+    index = _first_non_finite(payload)
+    if index is not None:
+        raise TensorFormatError(
+            f"{path}: value {data[index]} at index {index} is not finite in float32")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(dims)))
@@ -65,8 +80,7 @@ def read_tensor(path):
             f"{path}: payload holds {(len(raw) - offset) // 4} values, header says {count}"
         )
     data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(dims)
-    finite = np.isfinite(data)
-    if not finite.all():
-        index = tuple(int(i) for i in np.unravel_index(np.argmin(finite), dims))
+    index = _first_non_finite(data)
+    if index is not None:
         raise TensorFormatError(f"{path}: non-finite value {data[index]} at index {index}")
     return Tensor(data.astype(np.float32))

@@ -6,6 +6,7 @@ checked against a genuinely different computation path.
 """
 
 import math
+import struct
 from collections import namedtuple
 
 import numpy as np
@@ -217,3 +218,11 @@ def gap_naive(x):
                 float(x[b, ci, y, xx]) for y in range(h) for xx in range(w)
             ) / (h * w)
     return out
+
+
+def eift_bytes(values):
+    """An EIFT file's bytes, packed field by field without any value check,
+    so tests can build the NaN/Inf payloads that ``write_tensor`` refuses."""
+    arr = np.asarray(values, dtype="<f4")
+    return (b"EIFT" + struct.pack(f"<II{arr.ndim}Q", 1, arr.ndim, *arr.shape)
+            + arr.tobytes())

@@ -1,16 +1,20 @@
 """Tape semantics and finite-difference verification of every adjoint."""
 
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from evifuse import ops
 from evifuse.gradcheck import check_input, check_param, finite_difference_check
+from evifuse.network import Model, NetworkConfig, encode_scene, loss_ce
+from evifuse.synth import synth_scene
 from evifuse.tensor import (
     ShapeError, Tape, TapeConsumedError, Tensor, add, concat, linear,
     matmul, narrow, rearrange, reshape, tmax, tmean, transpose, tsum,
 )
+from evifuse.verify import TOLERANCE
 
 
 def t64(arr, requires_grad=False):
@@ -99,6 +103,27 @@ class TestTapeSemantics:
         for out, _, backward_fn in tape._records:
             grads = backward_fn(np.ones_like(out.data))
             assert all(g.dtype == np.float32 for g in grads if g is not None)
+
+    def test_float32_train_step_adjoints_stay_float32(self):
+        cfg = NetworkConfig()
+        scene = synth_scene(5, (cfg.height, cfg.width), 2, 1.0, 50000)
+        model = Model(cfg)
+        with Tape() as tape:
+            logits = model.forward_encoded(scene.image, encode_scene(scene, cfg))
+            loss = loss_ce(logits, scene.labels)
+        dtypes = set()
+
+        def recording(backward_fn):
+            def run(g):
+                grads = backward_fn(g)
+                dtypes.update(gi.dtype for gi in grads if gi is not None)
+                return grads
+            return run
+
+        tape._records[:] = [(out, inputs, recording(fn)) for out, inputs, fn in tape._records]
+        tape.backward(loss)
+        assert dtypes == {np.dtype(np.float32)}
+        assert {t.grad_array().dtype for _, t in model.store.items()} == {np.dtype(np.float32)}
 
     def test_tape_is_per_thread(self):
         # A enters and leaves its tape while B is inside its own; B's ops
@@ -276,6 +301,43 @@ class TestOperatorAdjoints:
         assert _fd(f_w, w.data.copy()) < 1e-6
         f_b = lambda v: tsum(ops.conv2d(xt, w, v, stride=2, pad=1) * probe)
         assert _fd(f_b, b.data.copy()) < 1e-6
+
+    @pytest.mark.parametrize("x_shape, w_shape, stride, pad", [
+        ((1, 8, 8, 8), (2, 8, 7, 7), 1, 3),
+        ((2, 8, 5, 7), (1, 8, 3, 3), 2, 1),
+    ])
+    def test_conv2d_shift_sum(self, rng, x_shape, w_shape, stride, pad):
+        # shapes with cout*Hp*Wp < cin*Ho*Wo take the shift-sum lowering
+        x = t64(rng.standard_normal(x_shape), requires_grad=True)
+        w = t64(rng.standard_normal(w_shape), requires_grad=True)
+        b = t64(rng.standard_normal(w_shape[0]), requires_grad=True)
+        out_shape = ops.conv2d(x, w, b, stride=stride, pad=pad).shape
+        probe = t64(rng.standard_normal(out_shape))
+        conv = lambda xv, wv, bv: tsum(ops.conv2d(xv, wv, bv, stride=stride, pad=pad) * probe)
+        with mock.patch.object(ops, "_conv_shift_sum", wraps=ops._conv_shift_sum) as spy:
+            # with hundreds of coordinates some gradients fall near 1e-4, where
+            # the 1e-6 step's rounding alone reads as ~1e-5 relative error on
+            # either lowering; the stage checks' tolerance covers that, and the
+            # comparison below holds the adjoint to rounding
+            assert _fd(lambda v: conv(v, w, b), x.data) < TOLERANCE
+            assert _fd(lambda v: conv(x, v, b), w.data) < TOLERANCE
+            assert _fd(lambda v: conv(x, w, v), b.data) < TOLERANCE
+        assert spy.called
+
+        # the same adjoint as the im2col lowering, to rounding
+        def grads():
+            for v in (x, w, b):
+                v.grad = None
+            with Tape() as tape:
+                y = conv(x, w, b)
+            tape.backward(y)
+            return [v.grad_array() for v in (x, w, b)]
+
+        shift_sum = grads()
+        with mock.patch.object(ops, "_conv_shift_sum", ops._conv_im2col):
+            im2col = grads()
+        for got, ref in zip(shift_sum, im2col):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_pool2d(self, rng):
         x = rng.standard_normal((2, 2, 6, 6))

@@ -11,6 +11,8 @@ from evifuse.cli import main
 from evifuse.tensor import Tensor
 from evifuse.tensorio import read_tensor, write_tensor
 
+from _oracles import eift_bytes
+
 SMALL_CONFIG = {
     "height": 32, "width": 32, "classes": 3,
     "image_widths": [4, 4, 4, 4], "event_widths": [2, 2, 2, 2],
@@ -171,7 +173,8 @@ class TestForward:
         path = os.path.join(scene_dir, "labels.eift")
         labels = read_tensor(path).data.copy()
         labels[3, 5] = np.nan
-        write_tensor(path, labels)
+        with open(path, "wb") as fh:
+            fh.write(eift_bytes(labels))
         rc = main(["forward", "--config", small_config, "--scene", scene_dir,
                    "--out", str(tmp_path / "x.eift")])
         assert rc == 2
@@ -280,6 +283,29 @@ def test_divergence_exits_1_without_traceback(command, small_config, scene_dir,
     assert main(args) == 1
     err = capsys.readouterr().err
     assert "training diverged" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, message", [
+    ("forward", "non-finite value in the network"),
+    ("train-toy", "training diverged"),
+])
+def test_overflowing_scene_exits_1_without_traceback(command, message, tmp_path,
+                                                     capsys):
+    # finite in float32, so load_scene accepts it, but too large for the
+    # default 64x64 network
+    scene = tmp_path / "scene"
+    assert main(["synth", "--seed", "3", "--dims", "64x64", "--objects", "2",
+                 "--out", str(scene)]) == 0
+    image = read_tensor(scene / "image.eift").data
+    write_tensor(scene / "image.eift", image * 1e37)
+    args = [command, "--scene", str(scene), "--out", str(tmp_path / "out")]
+    if command == "train-toy":
+        args += ["--steps", "1"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert message in err
     assert "Traceback" not in err
 
 

@@ -16,7 +16,7 @@ from evifuse.events import (
 from evifuse.tensor import Tensor
 from evifuse.tensorio import TensorFormatError, read_tensor, write_tensor
 
-from _oracles import Event, parse_events_naive, rows, window_naive
+from _oracles import Event, eift_bytes, parse_events_naive, rows, window_naive
 
 DIMS = (10, 10)
 NO_EVENTS = Events([], [], [], [])
@@ -402,10 +402,19 @@ class TestTensorDump:
         data = np.zeros((2, 3, 4), dtype=np.float32)
         data[1, 2, 0] = bad
         path = tmp_path / "nf.eift"
-        write_tensor(path, data)
+        path.write_bytes(eift_bytes(data))
         with pytest.raises(TensorFormatError,
                            match=r"nf\.eift: non-finite value .*at index \(1, 2, 0\)"):
             read_tensor(path)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e39])
+    def test_non_finite_float32_refused_before_open(self, tmp_path, bad):
+        # 1e39 is finite in float64 but overflows the float32 payload
+        path = tmp_path / "nf.eift"
+        with pytest.raises(TensorFormatError,
+                           match=r"nf\.eift: value .* at index \(1,\) is not finite in float32"):
+            write_tensor(path, np.array([1.0, bad]))
+        assert not path.exists()
 
     def test_zero_extent_rejected(self, tmp_path):
         import struct

@@ -1,5 +1,7 @@
 """Forward semantics of the tensor building blocks against naive oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,49 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             ops.conv2d(t(rng.standard_normal((1, 1, 2, 2))),
                        t(rng.standard_normal((1, 1, 5, 5))))
+
+
+# (input, weight, stride, pad) pairs on each side of conv2d's rule: the
+# shift-sum lowering when cout*Hp*Wp < cin*Ho*Wo, im2col otherwise
+SHIFT_SUM_SHAPES = [
+    ((2, 8, 6, 9), (2, 8, 7, 7), 1, 3),
+    ((1, 6, 9, 7), (1, 6, 3, 3), 1, 0),
+    ((2, 8, 5, 7), (1, 8, 3, 3), 2, 1),
+    ((1, 16, 4, 6), (3, 16, 1, 1), 1, 0),
+    ((2, 6, 7, 9), (2, 6, 3, 5), 1, 2),
+]
+IM2COL_SHAPES = [
+    ((2, 2, 5, 7), (3, 2, 7, 7), 1, 3),
+    ((1, 4, 6, 8), (4, 4, 3, 3), 1, 0),
+    ((2, 3, 6, 6), (4, 3, 3, 3), 2, 1),
+    ((1, 2, 6, 5), (3, 2, 5, 3), 1, 1),
+]
+
+
+class TestConv2dLowerings:
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("shift_sum, shapes", [
+        *((True, s) for s in SHIFT_SUM_SHAPES), *((False, s) for s in IM2COL_SHAPES)])
+    def test_float64_matches_oracle(self, rng, shift_sum, shapes, bias):
+        x_shape, w_shape, stride, pad = shapes
+        x = rng.standard_normal(x_shape)
+        w = rng.standard_normal(w_shape)
+        b = rng.standard_normal(w_shape[0]) if bias else None
+        with mock.patch.object(ops, "_conv_shift_sum", wraps=ops._conv_shift_sum) as spy:
+            out = ops.conv2d(t(x), t(w), t(b) if bias else None, stride=stride, pad=pad)
+        assert spy.called == shift_sum
+        np.testing.assert_allclose(
+            out.data, conv2d_naive(x, w, b, stride, pad), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shapes", [SHIFT_SUM_SHAPES[0], IM2COL_SHAPES[0]])
+    def test_inf_input_raises(self, rng, shapes):
+        x_shape, w_shape, stride, pad = shapes
+        x = t(rng.standard_normal(x_shape))
+        x.data[0, 0, 2, 3] = np.inf  # past the constructor's check
+        w = t(rng.standard_normal(w_shape))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError):
+            ops.conv2d(x, w, stride=stride, pad=pad)
 
 
 class TestPool2d:
