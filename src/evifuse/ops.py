@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .tensor import NonFiniteError, ShapeError, Tensor, _make, tmean
+from .tensor import NonFiniteError, ShapeError, Tensor, _check_finite, _make, tmean
 
 EPS_NORM = 1e-5
 
@@ -297,6 +297,7 @@ def _normalize(x, gamma, beta, axes):
     mu = np.add.reduce(d, axis=axes, keepdims=True) / n
     centered = d - mu
     var = np.add.reduce(centered * centered, axis=axes, keepdims=True) / n
+    _check_finite(var)  # an overflowed variance would zero xhat silently
     inv_std = 1.0 / np.sqrt(var + EPS_NORM)
     xhat = centered * inv_std
     gm = gamma.data.reshape(1, -1, 1, 1)

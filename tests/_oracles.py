@@ -2,7 +2,8 @@
 
 Everything here is deliberately written as plain loops over numpy scalars,
 sharing no code with the package, so the vectorized implementations are
-checked against a genuinely different computation path.
+checked against a genuinely different computation path. The one exception,
+``encode_global_bincount``, is an earlier vectorized form kept to pin bytes.
 """
 
 import math
@@ -170,6 +171,37 @@ def encode_naive(events, t_start, t_end, bins, height, width):
             e_vt[c, ev.y, ev.x] += ev.p * k
             a_cm[c, ev.y, ev.x] += k
     return e_vt, a_cm
+
+
+def encode_global_bincount(win, bins):
+    """The earlier vectorized ``encoding.encode``, kept verbatim as a bitwise
+    reference: one ``bincount`` per kernel side over the whole window, in
+    the window's event order. Returns float32 (e_vt, a_cm) arrays.
+    """
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    h, w = win.height, win.width
+    n = bins * h * w
+    tstar = (
+        (bins - 1)
+        * (win.t_us - win.t_start_us).astype(np.float64)
+        / float(win.t_end_us - win.t_start_us)
+    )
+    lo = np.floor(tstar).astype(np.int64)
+    w_hi = tstar - lo
+    w_lo = 1.0 - w_hi
+    base = win.y * w + win.x
+    idx_lo = lo * (h * w) + base
+    hi = lo + 1 <= bins - 1
+    idx_hi = idx_lo[hi] + h * w
+    e_vt = np.bincount(idx_lo, weights=win.p * w_lo, minlength=n)
+    e_vt += np.bincount(idx_hi, weights=(win.p * w_hi)[hi], minlength=n)
+    a_cm = np.bincount(idx_lo, weights=w_lo, minlength=n)
+    a_cm += np.bincount(idx_hi, weights=w_hi[hi], minlength=n)
+
+    shape = (bins, h, w)
+    return (e_vt.reshape(shape).astype(np.float32),
+            a_cm.reshape(shape).astype(np.float32))
 
 
 def window_naive(events, t_end, duration):

@@ -309,6 +309,27 @@ def test_overflowing_scene_exits_1_without_traceback(command, message, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, message", [
+    ("forward", "non-finite value in the network"),
+    ("train-toy", "training diverged"),
+])
+def test_overflowing_variance_exits_1_without_traceback(command, message, small_config,
+                                                        scene_dir, tmp_path, capsys):
+    # at 32x32 only the normalization variances overflow; an Inf variance
+    # must not turn each channel into beta and exit 0
+    image = read_tensor(f"{scene_dir}/image.eift").data
+    write_tensor(f"{scene_dir}/image.eift", image * 1e37)
+    args = [command, "--config", small_config, "--scene", scene_dir,
+            "--out", str(tmp_path / "out")]
+    if command == "train-toy":
+        args += ["--steps", "2"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 class TestSweepDuration:
     def test_three_durations_shape_identical(self, small_config, scene_dir,
                                              tmp_path, capsys):

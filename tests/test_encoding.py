@@ -1,14 +1,17 @@
 """Projection/activity encoding: kernel, time normalization, accumulation."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evifuse.encoding import encode
-from evifuse.events import Events, EventWindow
+from evifuse.events import Events, EventWindow, window
 
-from _oracles import encode_naive, rows
+from _oracles import encode_global_bincount, encode_naive, rows
 
 DIMS = (16, 16)
 NO_EVENTS = Events([], [], [], [])
@@ -212,3 +215,123 @@ class TestEncodingInvariants:
     def test_rejects_bad_bins(self):
         with pytest.raises(ValueError):
             encode(make_window(NO_EVENTS), 0)
+
+
+def column_window(t_us, x, y, p, t_start, t_end, dims):
+    """A hand-built window over the columns as given, in their order."""
+    cols = (np.asarray(c, dtype=np.int64) for c in (t_us, x, y, p))
+    return EventWindow(*cols, t_start, t_end, *dims)
+
+
+@st.composite
+def windows(draw, distinct_stamps=False):
+    """Small hand-built windows, time-sorted, with stamps that favour bin
+    edges (integral t*), t_start, t_end - 1 and t_end, and repeat them."""
+    bins = draw(st.integers(1, 6))
+    dims = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    t_start = draw(st.integers(0, 10**12))
+    gaps = max(bins - 1, 1)
+    span = draw(st.one_of(st.integers(1, 10**5).map(lambda m: m * gaps),
+                          st.integers(1, 10**7)))
+    t_end = t_start + span
+    edges = [t_start + k * span // gaps for k in range(bins)]
+    stamp = st.one_of(st.sampled_from([*edges, t_start, t_end - 1, t_end]),
+                      st.integers(t_start, t_end))
+    t_us = sorted(draw(st.lists(stamp, max_size=40, unique=distinct_stamps)))
+    n = len(t_us)
+    x, y, p = (draw(st.lists(values, min_size=n, max_size=n))
+               for values in (st.integers(0, dims[1] - 1), st.integers(0, dims[0] - 1),
+                              st.sampled_from([-1, 1])))
+    return column_window(t_us, x, y, p, t_start, t_end, dims), bins
+
+
+def encoding_bytes(e_vt, a_cm):
+    return e_vt.tobytes(), a_cm.tobytes()
+
+
+class TestBitwiseOracle:
+    """encode reproduces the earlier global-bincount form byte for byte."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(windows())
+    def test_sorted_window_matches(self, case):
+        win, bins = case
+        enc = encode(win, bins)
+        assert encoding_bytes(enc.e_vt.data, enc.a_cm.data) == \
+            encoding_bytes(*encode_global_bincount(win, bins))
+
+    @settings(max_examples=200, deadline=None)
+    @given(windows(distinct_stamps=True), st.randoms(use_true_random=False))
+    def test_shuffled_window_matches_sorted(self, case, random):
+        win, bins = case
+        perm = list(range(win.count))
+        random.shuffle(perm)
+        shuffled = EventWindow(win.t_us[perm], win.x[perm], win.y[perm], win.p[perm],
+                               win.t_start_us, win.t_end_us, win.height, win.width)
+        a, b = encode(win, bins), encode(shuffled, bins)
+        assert encoding_bytes(a.e_vt.data, a.a_cm.data) == \
+            encoding_bytes(b.e_vt.data, b.a_cm.data)
+
+    def test_empty_bins_between_runs(self):
+        # events only in bins 0 and 4 of 6: runs 1-3 are empty
+        win = column_window([0, 5, 40, 41], [0, 1, 2, 3], [1, 1, 0, 0], [1, -1, 1, 1],
+                            0, 50, (2, 4))
+        enc = encode(win, 6)
+        assert encoding_bytes(enc.e_vt.data, enc.a_cm.data) == \
+            encoding_bytes(*encode_global_bincount(win, 6))
+        assert not enc.a_cm.data[2:4].any()
+
+
+SMALL_SENSOR = (8, 10)  # height, width
+
+
+class TestRejectsMalformedWindows:
+    @pytest.mark.parametrize("x, y, message", [
+        (10, 3, "x outside"),  # x = width
+        (-1, 3, "x outside"),
+        (4, 8, "y outside"),  # y = height
+        (4, -1, "y outside"),
+    ])
+    def test_off_sensor_event(self, x, y, message):
+        win = column_window([10, 20], [2, x], [2, y], [1, 1], 0, 100, SMALL_SENSOR)
+        with pytest.raises(ValueError, match=message):
+            encode(win, 3)
+
+    @pytest.mark.parametrize("t_us", [[-1, 50], [50, 101], [101, 50], [50, -1]])
+    def test_stamp_outside_window(self, t_us):
+        # sorted and unsorted columns alike
+        win = column_window(t_us, [1, 2], [1, 2], [1, 1], 0, 100, SMALL_SENSOR)
+        with pytest.raises(ValueError, match="stamp outside"):
+            encode(win, 3)
+
+    def test_stamp_at_window_end_is_accepted(self):
+        win = column_window([0, 100], [1, 2], [1, 2], [1, -1], 0, 100, SMALL_SENSOR)
+        enc = encode(win, 3)
+        assert enc.a_cm.data[:, 2, 2].tolist() == [0.0, 0.0, 1.0]
+        assert enc.e_vt.data[:, 2, 2].tolist() == [0.0, 0.0, -1.0]
+
+    @pytest.mark.parametrize("t_end", [100, 99])
+    def test_non_positive_span(self, t_end):
+        win = column_window([100], [1], [1], [1], 100, t_end, SMALL_SENSOR)
+        with pytest.raises(ValueError, match="span"):
+            encode(win, 3)
+
+
+ENCODE_PEAK_BUDGET = 14 * 2**20  # bytes
+
+
+def test_encode_tracemalloc_peak_within_budget():
+    # a seeded 240k-event 50 ms window on the 346x260 sensor at 3 bins; the
+    # global-bincount form peaked at 21 MiB here
+    rng = np.random.default_rng(0)
+    n = 240_000
+    events = Events(rng.integers(0, 50_000, n), rng.integers(0, SENSOR[1], n),
+                    rng.integers(0, SENSOR[0], n), rng.choice([-1, 1], n))
+    win = window(events, 50_000, 50_000, SENSOR)
+    tracemalloc.start()
+    try:
+        encode(win, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ENCODE_PEAK_BUDGET, f"peak {peak / 2**20:.2f} MiB"

@@ -254,6 +254,16 @@ class TestNormalize:
         assert np.abs(mean).max() < 1e-6
         assert np.abs(var - 1).max() < 1e-4
 
+    @pytest.mark.parametrize("op, shape", [(ops.batchnorm2d, (1, 1, 2, 2)),
+                                           (ops.layernorm_channels, (1, 2, 2, 1))])
+    def test_overflowing_variance_raises(self, op, shape):
+        # (x - mean)^2 overflows float32; an Inf variance would return beta
+        f32 = np.float32
+        x = t(np.reshape([[1e20, -1e20], [3.0, 4.0]], shape), f32)
+        g, b = t(np.ones(shape[1]), f32), t(np.full(shape[1], 0.25), f32)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            op(x, g, b)
+
     def test_layernorm_statistical_identity(self, rng):
         x = t(rng.standard_normal((2, 6, 4, 4)) * 2 - 1)
         out = ops.layernorm_channels(x, t(np.ones(6)), t(np.zeros(6)))
