@@ -250,7 +250,7 @@ def encoding_bytes(e_vt, a_cm):
 
 
 class TestBitwiseOracle:
-    """encode reproduces the earlier global-bincount form byte for byte."""
+    """encode reproduces ``encode_global_bincount`` byte for byte."""
 
     @settings(max_examples=400, deadline=None)
     @given(windows())
@@ -321,8 +321,8 @@ ENCODE_PEAK_BUDGET = 14 * 2**20  # bytes
 
 
 def test_encode_tracemalloc_peak_within_budget():
-    # a seeded 240k-event 50 ms window on the 346x260 sensor at 3 bins; the
-    # global-bincount form peaked at 21 MiB here
+    # a seeded 240k-event 50 ms window on the 346x260 sensor at 3 bins;
+    # encode_global_bincount peaks at 21 MiB here
     rng = np.random.default_rng(0)
     n = 240_000
     events = Events(rng.integers(0, 50_000, n), rng.integers(0, SENSOR[1], n),
