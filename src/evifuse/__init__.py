@@ -11,7 +11,7 @@ from .fusion import (
     FusionParams, differential_attention, efficient_cross_attention,
     enhance, fuse, fusion_forward, gate, init_fusion_params,
 )
-from .gradcheck import check_input, check_param, finite_difference_check
+from .gradcheck import check_input, check_param
 from .network import (
     ConfigError, Model, NetworkConfig, TrainingDiverged, config_from_dict,
     decode, encode_stages, load_config, loss_ce, metrics, predict, train_toy,

@@ -15,8 +15,8 @@ import numpy as np
 from .encoding import encode
 from .events import EventParseError, parse_events, window
 from .network import (
-    ConfigError, Model, NetworkConfig, TrainingDiverged, encode_scene,
-    load_config, metrics, train_toy,
+    ConfigError, Model, NetworkConfig, TrainingDiverged, check_scene,
+    encode_scene, load_config, metrics, train_toy,
 )
 from .synth import load_scene, save_scene, synth_scene
 from .tensor import NonFiniteError, Tensor
@@ -69,10 +69,7 @@ def cmd_encode(args):
 def cmd_forward(args):
     cfg = load_config(args.config) if args.config else NetworkConfig()
     scene = load_scene(args.scene)
-    if (scene.height, scene.width) != (cfg.height, cfg.width):
-        raise ConfigError(
-            f"scene dims {scene.height}x{scene.width} != config "
-            f"{cfg.height}x{cfg.width}")
+    check_scene(scene, cfg)
     model = Model(cfg)
     enc = encode_scene(scene, cfg)
     logits = model.forward_encoded(scene.image, enc)

@@ -138,7 +138,7 @@ def efficient_cross_attention(x, y, p):
     yh, yw = y.shape[2:]
     if yh % r or yw % r:
         raise ShapeError(f"source dims {yh}x{yw} not divisible by reduction {r}")
-    y_red = ops.pool2d(y, "avg", r, r) if r > 1 else y
+    y_red = ops.pool2d(y, r, r) if r > 1 else y
     q = _split_heads(linear(_to_tokens(x), *p.cq), p.heads)
     yt = _to_tokens(y_red)
     k = _split_heads(linear(yt, *p.ck), p.heads)

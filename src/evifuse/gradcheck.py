@@ -3,8 +3,8 @@
 Gradient checks must run in double precision; central differences in
 float32 lose too many digits to be conclusive. ``check_param`` probes a
 closed-over forward against one tensor it reads by rebinding that tensor's
-data; ``finite_difference_check`` and ``check_input`` are built on it. The
-central-difference step is fixed at ``EPSILON``.
+data; ``check_input`` is built on it. The central-difference step is
+fixed at ``EPSILON``.
 """
 
 from __future__ import annotations
@@ -38,16 +38,6 @@ def _max_rel_error(analytic, point_data, eval_fn):
         denom = max(abs(a[i]), abs(numeric), 1e-8)
         worst = max(worst, abs(a[i] - numeric) / denom)
     return worst
-
-
-def finite_difference_check(f, point):
-    """Max relative error between analytic and central-difference gradients.
-
-    ``f`` maps one Tensor to a scalar Tensor and must be pure in that
-    argument. ``point`` is promoted to float64 before probing.
-    """
-    x = Tensor(point.data.astype(np.float64), requires_grad=True)
-    return check_param(lambda: f(x), x)
 
 
 def check_param(forward_fn, param):

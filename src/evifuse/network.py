@@ -12,7 +12,7 @@ path, not speed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .fusion import fusion_forward, init_fusion_params
 from .params import Norm, ParamStore, Weights, conv_params, make_rng, norm_params
 from .recalibrate import init_recal_params, recalibrate
 from .refine import init_refine_params, refine_forward
-from .tensor import ShapeError, Tape, Tensor, concat, reshape
+from .tensor import ShapeError, Tape, Tensor, astype, concat, reshape
 
 STAGES = 4
 
@@ -36,6 +36,16 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, step):
         super().__init__(f"loss became non-finite at step {step}")
         self.step = step
+
+
+def _is_int(value):
+    # bool subclasses int, but true/false is never a size or a count
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _stage_ints(value):
+    return (isinstance(value, (list, tuple)) and len(value) == STAGES
+            and all(_is_int(v) and v >= 1 for v in value))
 
 
 @dataclass
@@ -57,24 +67,31 @@ class NetworkConfig:
     use_mgfm: bool = True
 
     def __post_init__(self):
-        if self.event_widths is None:
+        # a malformed image_widths is left for validate() to report
+        if self.event_widths is None and _stage_ints(self.image_widths):
             self.event_widths = [(c + 1) // 2 for c in self.image_widths]
         self.validate()
 
     def validate(self):
+        # the annotations are the schema: no value is coerced to its type
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_int(value):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
+            if f.type == "list" and not _stage_ints(value):
+                raise ConfigError(f"{f.name} needs {STAGES} positive integers, got {value!r}")
         if self.height % 32 or self.width % 32 or self.height < 32 or self.width < 32:
             raise ConfigError(f"dims {self.height}x{self.width} must be divisible by 32")
-        for name in ("image_widths", "event_widths", "heads"):
-            values = getattr(self, name)
-            if len(values) != STAGES or any(v < 1 for v in values):
-                raise ConfigError(f"{name} needs {STAGES} positive entries")
         for c, h in zip(self.image_widths, self.heads):
             if c % h:
                 raise ConfigError(f"stage width {c} not divisible by head count {h}")
         if self.classes < 2:
             raise ConfigError("need at least 2 classes")
-        if self.reduction < 1:
-            raise ConfigError("reduction must be >= 1")
+        for name in ("reduction", "decoder_width", "refine_width"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         # mgfm pools the 1/32 stage by the reduction ratio
         if self.use_mgfm and ((self.height // 32) % self.reduction
                               or (self.width // 32) % self.reduction):
@@ -92,24 +109,22 @@ _TOGGLE_KEYS = {"aefrm", "marm", "mgfm"}
 _ENCODING_KEYS = {"bins", "window_us"}
 
 
+def _section(raw, key, allowed):
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {section!r}")
+    if set(section) - allowed:
+        raise ConfigError(f"unknown {key} keys: {sorted(set(section) - allowed)}")
+    return section
+
+
 def config_from_dict(raw):
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {k: v for k, v in raw.items() if k not in ("toggles", "encoding")}
-    toggles = raw.get("toggles", {})
-    if set(toggles) - _TOGGLE_KEYS:
-        raise ConfigError(f"unknown toggle keys: {sorted(set(toggles) - _TOGGLE_KEYS)}")
-    encoding = raw.get("encoding", {})
-    if set(encoding) - _ENCODING_KEYS:
-        raise ConfigError(f"unknown encoding keys: {sorted(set(encoding) - _ENCODING_KEYS)}")
-    kwargs["use_aefrm"] = bool(toggles.get("aefrm", True))
-    kwargs["use_marm"] = bool(toggles.get("marm", True))
-    kwargs["use_mgfm"] = bool(toggles.get("mgfm", True))
-    if "bins" in encoding:
-        kwargs["bins"] = int(encoding["bins"])
-    if "window_us" in encoding:
-        kwargs["window_us"] = int(encoding["window_us"])
+    kwargs.update((f"use_{k}", v) for k, v in _section(raw, "toggles", _TOGGLE_KEYS).items())
+    kwargs.update(_section(raw, "encoding", _ENCODING_KEYS))
     try:
         return NetworkConfig(**kwargs)
     except TypeError as exc:
@@ -255,14 +270,14 @@ class Model:
         if image.ndim == 3:
             image = reshape(image, (1, *image.shape))
         if self.dtype != image.dtype:
-            image = image.astype(self.dtype)
-            e_vt = e_vt.astype(self.dtype)
-            a_cm = a_cm.astype(self.dtype)
+            image = astype(image, self.dtype)
+            e_vt = astype(e_vt, self.dtype)
+            a_cm = astype(a_cm, self.dtype)
         return self.forward(image, e_vt, a_cm)
 
 
-def loss_ce(logits, labels, ignore_id=None):
-    return ops.cross_entropy(logits, labels, ignore_id)
+def loss_ce(logits, labels):
+    return ops.cross_entropy(logits, labels)
 
 
 def metrics(pred, gt, classes):
@@ -288,6 +303,17 @@ def predict(model, image, encoded):
     return logits.data[0].argmax(axis=0)
 
 
+def check_scene(scene, cfg):
+    """Raise ConfigError unless the configured network can take the scene."""
+    if (scene.height, scene.width) != (cfg.height, cfg.width):
+        raise ConfigError(
+            f"scene dims {scene.height}x{scene.width} != config "
+            f"{cfg.height}x{cfg.width}")
+    if scene.class_count > cfg.classes:
+        raise ConfigError(
+            f"scene has {scene.class_count} classes, config only {cfg.classes}")
+
+
 def encode_scene(scene, cfg):
     win = window(scene.events, scene.window_us, scene.window_us,
                  (scene.height, scene.width))
@@ -302,10 +328,7 @@ def train_toy(scene, cfg, steps, lr):
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if scene.height != cfg.height or scene.width != cfg.width:
-        raise ConfigError(
-            f"scene dims {scene.height}x{scene.width} != config "
-            f"{cfg.height}x{cfg.width}")
+    check_scene(scene, cfg)
     model = Model(cfg)
     encoded = encode_scene(scene, cfg)
     history = []

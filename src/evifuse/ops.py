@@ -10,8 +10,8 @@ Conventions fixed here:
     im2col window copy (Cin*kh*kw*Ho*Wo values), or, when that holds more
     values than Cout*kh*kw*Hp*Wp, one GEMM over the padded input followed
     by a strided shift-sum over the kernel taps (kn2row)
-  - avg pooling divides by the full kernel area (zero padding counts as
-    zeros); max pooling pads with -inf so padding never wins
+  - pooling averages and divides by the full kernel area (zero padding
+    counts as zeros)
   - batchnorm uses current-batch statistics, gradients flow through them
   - bilinear resampling maps dst -> (dst + 0.5) * scale - 0.5, edge-clamped
     (align-corners=false)
@@ -46,14 +46,11 @@ def _out_extent(size, kernel, stride, pad):
     return out
 
 
-def _pad2d(x, pad, fill=0.0):
+def _pad2d(x, pad):
     if pad == 0:
         return x
     b, c, h, w = x.shape
-    if fill == 0.0:
-        out = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    else:
-        out = np.full((b, c, h + 2 * pad, w + 2 * pad), fill, dtype=x.dtype)
+    out = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     out[:, :, pad:-pad, pad:-pad] = x
     return out
 
@@ -171,45 +168,26 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
     return _make(out, (x, weight, bias), bwd)
 
 
-def pool2d(x, kind, kernel, stride, pad=0):
-    """Per-window average or maximum over [B,C,H,W]."""
-    if kind not in ("avg", "max"):
-        raise ValueError(f"unknown pooling kind {kind!r}")
+def pool2d(x, kernel, stride, pad=0):
+    """Per-window average over [B,C,H,W]."""
     if pad >= kernel:
         raise ShapeError("pooling pad must be smaller than the kernel")
     b, c, h, w = x.shape
     out_h = _out_extent(h, kernel, stride, pad)
     out_w = _out_extent(w, kernel, stride, pad)
 
-    fill = 0.0 if kind == "avg" else -np.inf
-    xp = _pad2d(x.data, pad, fill)
-    cols = _window_view(xp, kernel, kernel, stride, out_h, out_w)
-    flat = cols.reshape(b, c, kernel * kernel, out_h, out_w)
-
-    if kind == "avg":
-        area = kernel * kernel
-        out = flat.sum(axis=2) / area
-
-        def bwd(g):
-            gcols = np.broadcast_to(
-                (g / area)[:, :, None, None, :, :],
-                (b, c, kernel, kernel, out_h, out_w),
-            )
-            return (_scatter_windows(gcols, x.shape, kernel, kernel, stride, pad),)
-
-        return _make(out, (x,), bwd)
-
-    arg = flat.argmax(axis=2)
-    out = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
+    cols = _window_view(_pad2d(x.data, pad), kernel, kernel, stride, out_h, out_w)
+    area = kernel * kernel
+    out = cols.reshape(b, c, area, out_h, out_w).sum(axis=2) / area
 
     def bwd(g):
-        gflat = np.zeros((b, c, kernel * kernel, out_h, out_w), dtype=g.dtype)
-        np.put_along_axis(gflat, arg[:, :, None], g[:, :, None], axis=2)
-        gcols = gflat.reshape(b, c, kernel, kernel, out_h, out_w)
+        gcols = np.broadcast_to(
+            (g / area)[:, :, None, None, :, :],
+            (b, c, kernel, kernel, out_h, out_w),
+        )
         return (_scatter_windows(gcols, x.shape, kernel, kernel, stride, pad),)
 
-    # a -inf pad never wins, since every window holds at least one input value
-    return _make(out, (x,), bwd, check_finite=False)
+    return _make(out, (x,), bwd)
 
 
 def gap(x):
@@ -514,8 +492,8 @@ def diff_attention(q1, q2, k1, k2, v, lam):
 # loss
 
 
-def cross_entropy(logits, labels, ignore_id=None):
-    """Mean softmax cross-entropy over non-ignored pixels.
+def cross_entropy(logits, labels):
+    """Mean softmax cross-entropy over all pixels.
 
     logits: [B,K,H,W]; labels: integer array-like [H,W] or [B,H,W].
     """
@@ -526,27 +504,23 @@ def cross_entropy(logits, labels, ignore_id=None):
         lab = np.broadcast_to(lab, (b, h, w))
     if lab.shape != (b, h, w):
         raise ShapeError(f"labels shape {lab.shape} does not match logits {logits.shape}")
-    mask = np.ones(lab.shape, dtype=bool) if ignore_id is None else lab != ignore_id
-    count = int(mask.sum())
-    if count == 0:
-        raise ValueError("cross_entropy: every pixel is ignored")
-    safe_lab = np.where(mask, lab, 0)
-    if safe_lab.min() < 0 or safe_lab.max() >= k:
+    if lab.min() < 0 or lab.max() >= k:
         raise ValueError("label id outside [0, classes)")
+    count = lab.size
 
     z = logits.data
     zmax = z.max(axis=1, keepdims=True)
     ez = np.exp(z - zmax)
     sez = ez.sum(axis=1, keepdims=True)
     logp = z - zmax - np.log(sez)
-    picked = np.take_along_axis(logp, safe_lab[:, None], axis=1)[:, 0]
-    out = np.asarray(-(picked * mask).sum() / count, dtype=z.dtype)
+    picked = np.take_along_axis(logp, lab[:, None], axis=1)[:, 0]
+    out = np.asarray(-picked.sum() / count, dtype=z.dtype)
 
     def bwd(g):
         prob = ez / sez
         onehot = np.zeros_like(z)
-        np.put_along_axis(onehot, safe_lab[:, None], 1.0, axis=1)
-        dz = (prob - onehot) * mask[:, None] / count
+        np.put_along_axis(onehot, lab[:, None], 1.0, axis=1)
+        dz = (prob - onehot) / count
         return (g * dz,)
 
     return _make(out, (logits,), bwd)

@@ -50,8 +50,8 @@ def build_activity_pyramid(a_cm, p):
     x = reshape(a_cm, (b * c, 1, h, w))
     target = (h // 4, w // 4)
     f_s = ops.conv2d(x, *p.stem, stride=4, pad=3)
-    f_p1 = ops.conv2d(ops.pool2d(x, "avg", 3, 3), *p.p1, pad=1)
-    f_p2 = ops.conv2d(ops.pool2d(x, "avg", 5, 5), *p.p2, pad=1)
+    f_p1 = ops.conv2d(ops.pool2d(x, 3, 3), *p.p1, pad=1)
+    f_p2 = ops.conv2d(ops.pool2d(x, 5, 5), *p.p2, pad=1)
     merged = f_s + ops.resample(f_p1, target) + ops.resample(f_p2, target)
     return ops.relu(ops.batchnorm2d(ops.conv2d(merged, *p.cbr, pad=1), *p.cbr_bn))
 

@@ -2,10 +2,11 @@
 
 A Tensor wraps a numpy array (float32 by default, float64 for gradient
 checks) and is treated as an immutable value once produced. Operations
-are pure functions; when a Tape is active and an operand requires
-gradients, the operation appends a record to the tape. ``Tape.backward``
-replays the records in exact reverse order, accumulating gradients into
-every tensor flagged with ``requires_grad``.
+are pure functions (``linear``, ``reshape``, ``rearrange``, ``tsum``, ...);
+the class itself only overloads ``+`` and ``*``. When a Tape is active
+and an operand requires gradients, the operation appends a record to the
+tape. ``Tape.backward`` replays the records in exact reverse order,
+accumulating gradients into every tensor flagged with ``requires_grad``.
 
 Every operation validates that its output is finite; NaN/Inf anywhere is
 an error state, never silently propagated. Ops that only move or select
@@ -78,9 +79,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(-1)[0])
 
-    def astype(self, dtype):
-        return astype(self, dtype)
-
     def accumulate_grad(self, g):
         if g.shape != self.data.shape:
             raise ShapeError(
@@ -100,7 +98,7 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name})"
 
-    # operator sugar; heavy ops live in ops.py
+    # the only operator sugar; heavy ops live in ops.py
     def __add__(self, other):
         return add(self, other)
 
@@ -110,33 +108,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __truediv__(self, scalar):
-        return mul(self, 1.0 / float(scalar))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if len(axes) > 1 else axes[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 class TapeConsumedError(RuntimeError):
@@ -270,36 +241,22 @@ def mul(a, b):
     return _make(out, (a, b), bwd)
 
 
-def matmul(a, b):
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul operands must have rank >= 2")
-    out = np.matmul(a.data, b.data)
-    a_data, b_data = a.data, b.data
-
-    def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b_data, -1, -2))
-        gb = np.matmul(np.swapaxes(a_data, -1, -2), g)
-        return _unbroadcast(ga, a_data.shape), _unbroadcast(gb, b_data.shape)
-
-    return _make(out, (a, b), bwd)
-
-
 def linear(x, w, b=None):
-    """x . w + b as one record; the same arithmetic as matmul, then add."""
-    if b is None:
-        return matmul(x, w)
+    """x . w (+ b) as one record: a batched matrix product plus an optional bias."""
     if x.ndim < 2 or w.ndim < 2:
-        raise ShapeError("matmul operands must have rank >= 2")
-    x_data, w_data, b_shape = x.data, w.data, b.data.shape
-    out = np.matmul(x_data, w_data) + b.data
+        raise ShapeError("linear operands must have rank >= 2")
+    x_data, w_data = x.data, w.data
+    out = np.matmul(x_data, w_data)
+    if b is not None:
+        out = out + b.data
 
     def bwd(g):
         gx = np.matmul(g, np.swapaxes(w_data, -1, -2))
         gw = np.matmul(np.swapaxes(x_data, -1, -2), g)
-        return (_unbroadcast(gx, x_data.shape), _unbroadcast(gw, w_data.shape),
-                _unbroadcast(g, b_shape))
+        grads = (_unbroadcast(gx, x_data.shape), _unbroadcast(gw, w_data.shape))
+        return grads if b is None else (*grads, _unbroadcast(g, b.data.shape))
 
-    return _make(out, (x, w, b), bwd)
+    return _make(out, (x, w) if b is None else (x, w, b), bwd)
 
 
 def reshape(t, shape):
@@ -317,17 +274,6 @@ def _inverse_axes(axes):
     for i, a in enumerate(axes):
         inv[a] = i
     return tuple(inv)
-
-
-def transpose(t, axes):
-    axes = tuple(axes)
-    inv = _inverse_axes(axes)
-    out = t.data.transpose(axes)
-
-    def bwd(g):
-        return (g.transpose(inv),)
-
-    return _make(out, (t,), bwd, check_finite=False)
 
 
 def rearrange(t, axes, shape, split=None):

@@ -45,7 +45,7 @@ def conv2d_naive(x, w, b, stride, pad):
     return out
 
 
-def pool2d_naive(x, kind, kernel, stride, pad):
+def pool2d_naive(x, kernel, stride, pad):
     bs, c, h, w = x.shape
     out_h = (h + 2 * pad - kernel) // stride + 1
     out_w = (w + 2 * pad - kernel) // stride + 1
@@ -61,12 +61,8 @@ def pool2d_naive(x, kind, kernel, stride, pad):
                             ix = ox * stride + kx - pad
                             if 0 <= iy < h and 0 <= ix < w:
                                 vals.append(float(x[n, ci, iy, ix]))
-                            elif kind == "avg":
-                                vals.append(0.0)
-                    if kind == "avg":
-                        out[n, ci, oy, ox] = sum(vals) / (kernel * kernel)
-                    else:
-                        out[n, ci, oy, ox] = max(vals)
+                    # padded taps count as zeros: divide by the full area
+                    out[n, ci, oy, ox] = sum(vals) / (kernel * kernel)
     return out
 
 
@@ -209,7 +205,7 @@ def window_naive(events, t_end, duration):
     return [e for e in rows(events) if lo <= e.t_us < t_end]
 
 
-def cross_entropy_naive(logits, labels, ignore_id=None):
+def cross_entropy_naive(logits, labels):
     bs, k, h, w = logits.shape
     total = 0.0
     count = 0
@@ -217,8 +213,6 @@ def cross_entropy_naive(logits, labels, ignore_id=None):
         for y in range(h):
             for x in range(w):
                 lab = int(labels[y, x]) if labels.ndim == 2 else int(labels[b, y, x])
-                if ignore_id is not None and lab == ignore_id:
-                    continue
                 z = [float(logits[b, c, y, x]) for c in range(k)]
                 m = max(z)
                 lse = m + math.log(sum(math.exp(v - m) for v in z))

@@ -152,6 +152,32 @@ class TestForward:
                    "--out", str(tmp_path / "x.eift")])
         assert rc != 0
 
+    @pytest.mark.parametrize("command", ["forward", "train-toy", "ablate"])
+    def test_scene_with_more_classes_than_config_exits_2(self, command, small_config,
+                                                         tmp_path, capsys):
+        scene = str(tmp_path / "five_classes")
+        assert main(["synth", "--seed", "3", "--dims", "32x32", "--objects", "4",
+                     "--window-us", "20000", "--out", scene]) == 0
+        out = str(tmp_path / "out")
+        extra = {"forward": ["--out", out], "train-toy": ["--steps", "1", "--out", out],
+                 "ablate": ["--steps", "1"]}[command]
+        assert main([command, "--config", small_config, "--scene", scene, *extra]) == 2
+        assert "scene has 5 classes, config only 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        {"toggles": {"aefrm": "false"}},
+        {"toggles": ["aefrm"]},
+        {"heads": [1, 1, 1, 1.0]},
+        {"seed": 1.5},
+    ])
+    def test_malformed_config_exits_2(self, override, scene_dir, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, **override}))
+        rc = main(["forward", "--config", str(path), "--scene", scene_dir,
+                   "--out", str(tmp_path / "x.eift")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_meta_without_width_exits_2(self, small_config, scene_dir, tmp_path,
                                         capsys):

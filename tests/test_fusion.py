@@ -10,7 +10,7 @@ from evifuse.fusion import (
 )
 from evifuse.params import ParamStore, make_rng
 from evifuse.tensor import (
-    NonFiniteError, ShapeError, Tape, Tensor, matmul, reshape, transpose, tsum,
+    NonFiniteError, ShapeError, Tape, Tensor, linear, mul, rearrange, reshape, tsum,
 )
 
 from _oracles import attention_naive, differential_attention_naive, pool2d_naive
@@ -118,11 +118,12 @@ class TestDifferentialAttention:
 
 
 def _composed_diff_attention(q1, q2, k1, k2, v, lam):
-    """The unfused tape composition: two softmaxes, a difference, a matmul."""
-    scale = 1.0 / np.sqrt(q1.shape[-1])
-    a1 = ops.softmax(matmul(q1, transpose(k1, (0, 1, 3, 2))) * scale, axis=-1)
-    a2 = ops.softmax(matmul(q2, transpose(k2, (0, 1, 3, 2))) * scale, axis=-1)
-    return matmul(a1 - a2 * reshape(lam, (1, lam.shape[0], 1, 1)), v)
+    """The unfused tape composition: two softmaxes, a difference, a product."""
+    b, h, nk, d = k1.shape
+    scale = 1.0 / np.sqrt(d)
+    a1 = ops.softmax(linear(q1, rearrange(k1, (0, 1, 3, 2), (b, h, d, nk))) * scale, axis=-1)
+    a2 = ops.softmax(linear(q2, rearrange(k2, (0, 1, 3, 2), (b, h, d, nk))) * scale, axis=-1)
+    return linear(a1 + mul(a2 * reshape(lam, (1, h, 1, 1)), -1.0), v)
 
 
 def _diff_inputs(rng, b, h, n, nk, d, dtype=np.float64):
@@ -246,7 +247,7 @@ class TestEfficientCrossAttention:
         x = rand_t(rng, (1, 4, 4, 4))
         y = Tensor(np.tile(rng.standard_normal((1, 4, 1, 1)), (1, 1, 4, 4)),
                    dtype=np.float64)
-        delta = (efficient_cross_attention(x, y, p) - x).data
+        delta = efficient_cross_attention(x, y, p).data - x.data
         np.testing.assert_allclose(
             delta, np.broadcast_to(delta[:, :, :1, :1], delta.shape), atol=1e-9)
 
@@ -254,7 +255,7 @@ class TestEfficientCrossAttention:
         p, _ = make_params(reduction=2)
         x, y = rand_t(rng, (1, 4, 4, 4)), rand_t(rng, (1, 4, 4, 4))
         got = efficient_cross_attention(x, y, p).data
-        y_red = pool2d_naive(y.data, "avg", 2, 2, 0)
+        y_red = pool2d_naive(y.data, 2, 2, 0)
         xt, yt = _tokens(x.data), _tokens(y_red)
         q = _heads(xt @ p.cq.w.data + p.cq.b.data, 2)
         k = _heads(yt @ p.ck.w.data, 2)

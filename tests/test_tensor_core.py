@@ -142,19 +142,15 @@ class TestConv2dLowerings:
 
 class TestPool2d:
     def test_avg_2x2(self):
-        out = ops.pool2d(t([[[[1.0, 2.0], [3.0, 4.0]]]]), "avg", 2, 2)
+        out = ops.pool2d(t([[[[1.0, 2.0], [3.0, 4.0]]]]), 2, 2)
         np.testing.assert_allclose(out.data, [[[[2.5]]]])
-
-    def test_max_2x2(self):
-        out = ops.pool2d(t([[[[1.0, 2.0], [3.0, 4.0]]]]), "max", 2, 2)
-        np.testing.assert_allclose(out.data, [[[[4.0]]]])
 
     def test_avg_pad_counts_zeros(self):
         # full-kernel-area convention: padded taps enter the denominator
-        out = ops.pool2d(t(np.ones((1, 1, 2, 2))), "avg", 3, 1, pad=1)
+        out = ops.pool2d(t(np.ones((1, 1, 2, 2))), 3, 1, pad=1)
         assert out.data[0, 0, 0, 0] == pytest.approx(4.0 / 9.0)
 
-    @pytest.mark.parametrize("kind", ["avg", "max"])
+    @pytest.mark.parametrize("kind", ["avg"])  # the one pooling kind
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_naive_oracle(self, kind, seed):
         rng = np.random.default_rng(seed + 100)
@@ -163,9 +159,9 @@ class TestPool2d:
         pad = int(rng.integers(0, min(kernel, 2)))
         h = int(rng.integers(kernel + 1, 9))
         x = rng.standard_normal((2, 2, h, h))
-        out = ops.pool2d(t(x), kind, kernel, stride, pad)
+        out = ops.pool2d(t(x), kernel, stride, pad)
         np.testing.assert_allclose(
-            out.data, pool2d_naive(x, kind, kernel, stride, pad), atol=1e-6)
+            out.data, pool2d_naive(x, kernel, stride, pad), atol=1e-6)
 
 
 class TestGap:
