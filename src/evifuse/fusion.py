@@ -6,7 +6,8 @@ per-head factor, subtracts common-mode responses). The image stream
 queries the event stream through cross-attention whose keys/values are
 average-pooled to cut token count. A two-channel softmax gate then mixes
 the streams per pixel, and a channelwise-normalized feed-forward block
-with a residual finishes the stage.
+with a residual finishes the stage. Both attention paths hand the
+kernels the token projections as they are; the kernels own the head split.
 """
 
 from __future__ import annotations
@@ -94,17 +95,6 @@ def _to_map(tokens, h, w):
     return rearrange(tokens, (0, 3, 1, 2), (b, c, h, w), split=(b, h, w, c))
 
 
-def _split_heads(tokens, heads):
-    b, n, c = tokens.shape
-    d = c // heads
-    return rearrange(tokens, (0, 2, 1, 3), (b, heads, n, d), split=(b, n, heads, d))
-
-
-def _merge_heads(x):
-    b, heads, n, d = x.shape
-    return rearrange(x, (0, 2, 1, 3), (b, n, heads * d))
-
-
 def differential_attention(x, y, p):
     """Event stream x attends to image stream y; dual-softmax difference.
 
@@ -117,13 +107,10 @@ def differential_attention(x, y, p):
         raise ShapeError(f"channels {c} not divisible by heads {p.heads}")
     xt = _to_tokens(x)
     yt = _to_tokens(y)
-    q1 = _split_heads(linear(xt, *p.q1), p.heads)
-    q2 = _split_heads(linear(xt, *p.q2), p.heads)
-    k1 = _split_heads(linear(yt, *p.k1), p.heads)
-    k2 = _split_heads(linear(yt, *p.k2), p.heads)
-    v = _split_heads(linear(yt, *p.v), p.heads)
-    attended = ops.diff_attention(q1, q2, k1, k2, v, p.lam)
-    out = linear(_merge_heads(attended), *p.eo)
+    attended = ops.diff_attention(
+        linear(xt, *p.q1), linear(xt, *p.q2), linear(yt, *p.k1), linear(yt, *p.k2),
+        linear(yt, *p.v), p.lam)
+    out = linear(attended, *p.eo)
     return _to_map(out, h, w) + x
 
 
@@ -139,12 +126,10 @@ def efficient_cross_attention(x, y, p):
     if yh % r or yw % r:
         raise ShapeError(f"source dims {yh}x{yw} not divisible by reduction {r}")
     y_red = ops.pool2d(y, r, r) if r > 1 else y
-    q = _split_heads(linear(_to_tokens(x), *p.cq), p.heads)
+    q = linear(_to_tokens(x), *p.cq)
     yt = _to_tokens(y_red)
-    k = _split_heads(linear(yt, *p.ck), p.heads)
-    v = _split_heads(linear(yt, *p.cv), p.heads)
-    attended = ops.attention_core(q, k, v)
-    out = linear(_merge_heads(attended), *p.co)
+    attended = ops.attention_core(q, linear(yt, *p.ck), linear(yt, *p.cv), p.heads)
+    out = linear(attended, *p.co)
     return _to_map(out, h, w) + x
 
 

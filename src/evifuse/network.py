@@ -315,7 +315,7 @@ def check_scene(scene, cfg):
 
 
 def encode_scene(scene, cfg):
-    win = window(scene.events, scene.window_us, scene.window_us,
+    win = window(scene.events, scene.window_us, cfg.window_us,
                  (scene.height, scene.width))
     return encode(win, cfg.bins)
 

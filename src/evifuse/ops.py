@@ -15,7 +15,9 @@ Conventions fixed here:
   - batchnorm uses current-batch statistics, gradients flow through them
   - bilinear resampling maps dst -> (dst + 0.5) * scale - 0.5, edge-clamped
     (align-corners=false)
-  - attention (plain and dual-softmax differential) walks query blocks and
+  - attention (plain and dual-softmax differential) takes [B, tokens,
+    heads*dim] tensors, the layout linear writes; its one record splits
+    the heads as a numpy view and merges them back. It walks query blocks and
     recomputes probabilities in backward (FlashAttention, Dao et al. 2022);
     the queries are scaled by 1/sqrt(d) once, before the score GEMMs
 """
@@ -382,15 +384,24 @@ def _exp_scores(q, kt, rowmax=None):
     return s, rowmax
 
 
-def _check_heads(q, k, v):
-    if q.ndim != 4 or k.ndim != 4 or v.ndim != 4:
-        raise ShapeError("attention operands must be [B, heads, tokens, dim]")
-    d = q.shape[-1]
-    if d == 0:
-        raise ShapeError("attention head dimension must be positive")
-    if k.shape[-1] != d or v.shape[:3] != k.shape[:3] or q.shape[:2] != k.shape[:2]:
-        raise ShapeError(
-            "query/key/value batch, heads, token counts and head dims must agree")
+def _check_heads(q, k, v, heads):
+    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
+        raise ShapeError("attention operands must be [B, tokens, heads * dim]")
+    if k.shape != v.shape or k.shape[::2] != q.shape[::2]:
+        raise ShapeError("batch, key/value token counts and widths must agree")
+    if heads < 1 or q.shape[2] % heads:
+        raise ShapeError(f"width {q.shape[2]} does not split into {heads} heads")
+
+
+def _split(x, heads):
+    """[B,N,h*d] tokens as a [B,h,N,d] view."""
+    b, n, c = x.shape
+    return x.reshape(b, n, heads, c // heads).transpose(0, 2, 1, 3)
+
+
+def _merge(x):
+    b, h, n, d = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, n, h * d)
 
 
 def _attention(qs, ks, v, coef):
@@ -454,38 +465,42 @@ def _attention(qs, ks, v, coef):
     return out, bwd
 
 
-def attention_core(q, k, v):
-    """softmax(Q.K^T / sqrt(d)) . V over [B,h,N,d] / [B,h,Nk,d] heads."""
-    _check_heads(q, k, v)
-    out, core = _attention((q.data,), (k.data,), v.data, (1.0,))
+def attention_core(q, k, v, heads):
+    """softmax(Q.K^T / sqrt(d)) . V per head over [B,N,h*d] / [B,Nk,h*d] tokens."""
+    _check_heads(q, k, v, heads)
+    out, core = _attention((_split(q.data, heads),), (_split(k.data, heads),),
+                           _split(v.data, heads), (1.0,))
 
     def bwd(g):
-        (gq,), (gk,), gv, _ = core(g)
-        return gq, gk, gv
+        (gq,), (gk,), gv, _ = core(_split(g, heads))
+        return _merge(gq), _merge(gk), _merge(gv)
 
-    return _make(out, (q, k, v), bwd)
+    return _make(_merge(out), (q, k, v), bwd)
 
 
 def diff_attention(q1, q2, k1, k2, v, lam):
     """(softmax(Q1.K1^T/sqrt(d)) - lam * softmax(Q2.K2^T/sqrt(d))) . V.
 
-    Dual-softmax differential attention over [B,h,N,d] queries and
-    [B,h,Nk,d] keys/values, with one subtraction factor per head in lam [h].
+    Dual-softmax differential attention over [B,N,h*d] query tokens and
+    [B,Nk,h*d] key/value tokens; lam [h] holds one subtraction factor per
+    head and so sets the head count.
     """
-    _check_heads(q1, k1, v)
+    if lam.ndim != 1:
+        raise ShapeError(f"lam must hold one value per head, got {lam.shape}")
+    heads = lam.shape[0]
+    _check_heads(q1, k1, v, heads)
     if q1.shape != q2.shape or k1.shape != k2.shape:
         raise ShapeError("the two query/key branches must have equal shapes")
-    if lam.shape != (q1.shape[1],):
-        raise ShapeError(f"lam must hold one value per head, got {lam.shape}")
-    lam_h = lam.data.reshape(1, -1, 1, 1)
     out, core = _attention(
-        (q1.data, q2.data), (k1.data, k2.data), v.data, (1.0, -lam_h))
+        (_split(q1.data, heads), _split(q2.data, heads)),
+        (_split(k1.data, heads), _split(k2.data, heads)),
+        _split(v.data, heads), (1.0, -lam.data.reshape(1, -1, 1, 1)))
 
     def bwd(g):
-        (gq1, gq2), (gk1, gk2), gv, (_, dot2) = core(g)
-        return gq1, gq2, gk1, gk2, gv, -dot2.sum(axis=(0, 2, 3))
+        (gq1, gq2), (gk1, gk2), gv, (_, dot2) = core(_split(g, heads))
+        return (*map(_merge, (gq1, gq2, gk1, gk2, gv)), -dot2.sum(axis=(0, 2, 3)))
 
-    return _make(out, (q1, q2, k1, k2, v, lam), bwd)
+    return _make(_merge(out), (q1, q2, k1, k2, v, lam), bwd)
 
 
 # ---------------------------------------------------------------------------

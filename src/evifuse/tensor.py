@@ -102,12 +102,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
 
 
 class TapeConsumedError(RuntimeError):
@@ -204,14 +200,6 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    if not isinstance(b, Tensor):
-        b_val = np.asarray(b, dtype=a.data.dtype)
-        out = a.data + b_val
-
-        def bwd(g):
-            return (g,)
-
-        return _make(out, (a,), bwd)
     out = a.data + b.data
 
     def bwd(g):

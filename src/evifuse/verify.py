@@ -35,8 +35,6 @@ from .tensor import Tensor, tsum
 TOLERANCE = 1e-4
 OBJECTIVE_SCALE = 1e-5
 
-CLI_CHOICES = ("aefrm", "marm", "mgfm", "network", "all")
-
 
 def _rand(rng, shape):
     return Tensor(rng.standard_normal(shape), dtype=np.float64)
@@ -176,7 +174,7 @@ CASES = {
     "decoder": decoder_case,
     "network": network_case,
 }
-MODULE_NAMES = tuple(CASES)
+CLI_CHOICES = (*CASES, "all")
 
 
 def _check_case(module, seed):
@@ -189,7 +187,7 @@ def _check_case(module, seed):
 def run_checks(which, seed=1):
     """Mapping module -> [(group, max relative error)] for the selection."""
     if which == "all":
-        names = MODULE_NAMES
+        names = CASES
     elif which in CASES:
         names = (which,)
     else:

@@ -66,6 +66,18 @@ def pool2d_naive(x, kernel, stride, pad):
     return out
 
 
+def split_heads(tokens, heads):
+    """[B,N,h*d] tokens, the attention kernels' layout, as [B,h,N,d] heads."""
+    b, n, c = tokens.shape
+    return tokens.reshape(b, n, heads, c // heads).transpose(0, 2, 1, 3)
+
+
+def merge_heads(x):
+    """[B,h,N,d] heads, the layout of the attention oracles, as [B,N,h*d] tokens."""
+    b, h, n, d = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, n, h * d)
+
+
 def attention_naive(q, k, v):
     bs, heads, n, d = q.shape
     nk = k.shape[2]

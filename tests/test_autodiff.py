@@ -16,6 +16,8 @@ from evifuse.tensor import (
 )
 from evifuse.verify import TOLERANCE
 
+from _oracles import merge_heads
+
 
 def t64(arr, requires_grad=False):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=requires_grad)
@@ -208,7 +210,7 @@ class TestOperatorAdjoints:
         a = rng.standard_normal((3, 1, 4))
         b = t64(rng.standard_normal((1, 5, 4)))
         assert _fd(lambda v: tsum((v + b) * b), a) < 1e-6
-        assert _fd(lambda v: tsum(v * 2.5 + 1.0), a) < 1e-6
+        assert _fd(lambda v: tsum(v * 2.5 + t64([1.0])), a) < 1e-6
 
     def test_matmul(self, rng):
         # linear without a bias is a plain batched matrix product
@@ -364,21 +366,22 @@ class TestOperatorAdjoints:
         assert _fd(lambda v: tsum(ops.resample(v, (9, 8)) * probe_up), x) < 1e-6
 
     def test_attention_core(self, rng):
-        q = rng.standard_normal((1, 2, 3, 4))
-        k = t64(rng.standard_normal((1, 2, 5, 4)))
-        v = t64(rng.standard_normal((1, 2, 5, 4)))
-        probe = t64(rng.standard_normal((1, 2, 3, 4)))
-        assert _fd(lambda x: tsum(ops.attention_core(x, k, v) * probe), q) < 1e-6
-        qt = t64(q)
-        assert _fd(lambda x: tsum(ops.attention_core(qt, x, v) * probe), k.data.copy()) < 1e-6
-        assert _fd(lambda x: tsum(ops.attention_core(qt, k, x) * probe), v.data.copy()) < 1e-6
+        # [B,h,N,d] draws, passed to the kernel as [B,N,h*d] tokens of 2 heads
+        q, k, v, probe = (merge_heads(rng.standard_normal(s)) for s in
+                          [(1, 2, 3, 4), (1, 2, 5, 4), (1, 2, 5, 4), (1, 2, 3, 4)])
+        qt, kt, vt, probe = t64(q), t64(k), t64(v), t64(probe)
+        assert _fd(lambda x: tsum(ops.attention_core(x, kt, vt, 2) * probe), q.copy()) < 1e-6
+        assert _fd(lambda x: tsum(ops.attention_core(qt, x, vt, 2) * probe), k.copy()) < 1e-6
+        assert _fd(lambda x: tsum(ops.attention_core(qt, kt, x, 2) * probe), v.copy()) < 1e-6
 
     def test_diff_attention(self, rng, monkeypatch):
         # two-row query blocks, so the adjoint's block loop runs three times
         monkeypatch.setattr(ops, "_ATTN_BLOCK_BYTES", 2 * 2 * 4 * 8)
+        # [B,h,N,d] draws, passed to the kernel as [B,N,h*d] tokens of 2 heads
         shapes = [(1, 2, 5, 3)] * 2 + [(1, 2, 4, 3)] * 3
-        points = [rng.standard_normal(s) for s in shapes] + [rng.uniform(0.2, 0.9, 2)]
-        probe = t64(rng.standard_normal((1, 2, 5, 3)))
+        points = ([merge_heads(rng.standard_normal(s)) for s in shapes]
+                  + [rng.uniform(0.2, 0.9, 2)])
+        probe = t64(merge_heads(rng.standard_normal((1, 2, 5, 3))))
         for i, point in enumerate(points):
             fixed = [t64(p) for p in points]
 

@@ -227,6 +227,12 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "marm" in out and "ok" in out
 
+    def test_every_case_is_a_module_choice(self, capsys):
+        # the choices come from verify.CASES, so the decoder check is one
+        rc = main(["gradcheck", "--module", "decoder", "--seed", "1"])
+        assert rc == 0
+        assert "decoder" in capsys.readouterr().out
+
     def test_corrupted_backward_fails(self, capsys, monkeypatch):
         # an untaped self-product halves the analytic gradient of the
         # recalibrated events, so the real check must report FAIL

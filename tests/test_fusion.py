@@ -13,7 +13,9 @@ from evifuse.tensor import (
     NonFiniteError, ShapeError, Tape, Tensor, linear, mul, rearrange, reshape, tsum,
 )
 
-from _oracles import attention_naive, differential_attention_naive, pool2d_naive
+from _oracles import (
+    attention_naive, differential_attention_naive, merge_heads, pool2d_naive, split_heads,
+)
 
 
 def make_params(seed=1, channels=4, heads=2, reduction=2):
@@ -36,27 +38,17 @@ def _tokens(x):
     return x.transpose(0, 2, 3, 1).reshape(b, h * w, c)
 
 
-def _heads(tok, heads):
-    b, n, c = tok.shape
-    return tok.reshape(b, n, heads, c // heads).transpose(0, 2, 1, 3)
-
-
-def _merge(x):
-    b, h, n, d = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, n, h * d)
-
-
 def _diff_attention_oracle(x, y, p):
     """Numpy re-implementation via the naive per-token attention oracle."""
     b, c, h, w = x.shape
     xt, yt = _tokens(x.data), _tokens(y.data)
-    q1 = _heads(xt @ p.q1.w.data + p.q1.b.data, p.heads)
-    q2 = _heads(xt @ p.q2.w.data + p.q2.b.data, p.heads)
-    k1 = _heads(yt @ p.k1.w.data, p.heads)
-    k2 = _heads(yt @ p.k2.w.data, p.heads)
-    v = _heads(yt @ p.v.w.data + p.v.b.data, p.heads)
+    q1 = split_heads(xt @ p.q1.w.data + p.q1.b.data, p.heads)
+    q2 = split_heads(xt @ p.q2.w.data + p.q2.b.data, p.heads)
+    k1 = split_heads(yt @ p.k1.w.data, p.heads)
+    k2 = split_heads(yt @ p.k2.w.data, p.heads)
+    v = split_heads(yt @ p.v.w.data + p.v.b.data, p.heads)
     att = differential_attention_naive(q1, q2, k1, k2, v, p.lam.data)
-    out = _merge(att) @ p.eo.w.data + p.eo.b.data
+    out = merge_heads(att) @ p.eo.w.data + p.eo.b.data
     return out.reshape(b, h, w, c).transpose(0, 3, 1, 2) + x.data
 
 
@@ -87,10 +79,10 @@ class TestDifferentialAttention:
         x, y = rand_t(rng, (1, 4, 4, 4)), rand_t(rng, (1, 4, 4, 4))
         got = differential_attention(x, y, p).data
         xt, yt = _tokens(x.data), _tokens(y.data)
-        q1 = _heads(xt @ p.q1.w.data + p.q1.b.data, 2)
-        k1 = _heads(yt @ p.k1.w.data, 2)
-        v = _heads(yt @ p.v.w.data + p.v.b.data, 2)
-        plain = _merge(attention_naive(q1, k1, v)) @ p.eo.w.data + p.eo.b.data
+        q1 = split_heads(xt @ p.q1.w.data + p.q1.b.data, 2)
+        k1 = split_heads(yt @ p.k1.w.data, 2)
+        v = split_heads(yt @ p.v.w.data + p.v.b.data, 2)
+        plain = merge_heads(attention_naive(q1, k1, v)) @ p.eo.w.data + p.eo.b.data
         expected = plain.reshape(1, 4, 4, 4).transpose(0, 3, 1, 2) + x.data
         np.testing.assert_allclose(got, expected, atol=1e-6)
 
@@ -132,6 +124,12 @@ def _diff_inputs(rng, b, h, n, nk, d, dtype=np.float64):
     return arrays + [rng.uniform(0.1, 1.0, h).astype(dtype)]
 
 
+def _as_tokens(arrays, requires_grad=False):
+    """Kernel operands: the [B,h,N,d] draws merged into [B,N,h*d] tokens, then lam."""
+    return ([Tensor(merge_heads(a), requires_grad=requires_grad) for a in arrays[:5]]
+            + [Tensor(arrays[5], requires_grad=requires_grad)])
+
+
 def _three_row_blocks(monkeypatch, b, h, nk, itemsize=8):
     monkeypatch.setattr(ops, "_ATTN_BLOCK_BYTES", 3 * b * h * nk * itemsize)
     assert ops._block_rows(b * h, nk, itemsize) == 3
@@ -147,8 +145,8 @@ class TestFusedDiffAttention:
         b, h, n, nk, d = shape
         _three_row_blocks(monkeypatch, b, h, nk)
         arrays = _diff_inputs(np.random.default_rng(n * 100 + nk), b, h, n, nk, d)
-        got = ops.diff_attention(*(Tensor(a) for a in arrays)).data
-        np.testing.assert_allclose(got, differential_attention_naive(*arrays),
+        got = ops.diff_attention(*_as_tokens(arrays)).data
+        np.testing.assert_allclose(got, merge_heads(differential_attention_naive(*arrays)),
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -156,8 +154,9 @@ class TestFusedDiffAttention:
         b, h, n, nk, d = shape
         _three_row_blocks(monkeypatch, b, h, nk)
         q, _, k, _, v, _ = _diff_inputs(np.random.default_rng(n + nk), b, h, n, nk, d)
-        got = ops.attention_core(Tensor(q), Tensor(k), Tensor(v)).data
-        np.testing.assert_allclose(got, attention_naive(q, k, v), rtol=0, atol=1e-12)
+        got = ops.attention_core(*(Tensor(merge_heads(a)) for a in (q, k, v)), h).data
+        np.testing.assert_allclose(got, merge_heads(attention_naive(q, k, v)),
+                                   rtol=0, atol=1e-12)
 
     def test_agrees_with_composed_path_float64(self):
         # large enough that the real byte budget cuts N into ragged blocks
@@ -166,23 +165,26 @@ class TestFusedDiffAttention:
         assert rows < n and n % rows
         rng = np.random.default_rng(11)
         arrays = _diff_inputs(rng, b, h, n, nk, d)
-        probe = Tensor(rng.standard_normal((b, h, n, d)))
+        probe = rng.standard_normal((b, h, n, d))
         results = []
-        for op in (ops.diff_attention, _composed_diff_attention):
-            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        # the kernel takes and returns tokens, the composition heads
+        for op, inputs, probe_t in (
+                (ops.diff_attention, _as_tokens(arrays, True), merge_heads(probe)),
+                (_composed_diff_attention,
+                 [Tensor(a, requires_grad=True) for a in arrays], probe)):
             with Tape() as tape:
                 out = op(*inputs)
-                total = tsum(out * probe)
+                total = tsum(out * Tensor(probe_t))
             tape.backward(total)
             results.append((out.data, [t.grad for t in inputs]))
         (fused, fused_grads), (composed, composed_grads) = results
-        np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
-        for gf, gc in zip(fused_grads, composed_grads):
-            np.testing.assert_allclose(gf, gc, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fused, merge_heads(composed), rtol=0, atol=1e-12)
+        for gf, gc in zip(fused_grads[:5], composed_grads[:5]):
+            np.testing.assert_allclose(gf, merge_heads(gc), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fused_grads[5], composed_grads[5], rtol=0, atol=1e-12)
 
     def test_one_tape_record_in_input_dtype(self, rng):
-        inputs = [Tensor(a, requires_grad=True)
-                  for a in _diff_inputs(rng, 1, 2, 6, 5, 4, np.float32)]
+        inputs = _as_tokens(_diff_inputs(rng, 1, 2, 6, 5, 4, np.float32), True)
         with Tape() as tape:
             out = ops.diff_attention(*inputs)
             total = tsum(out)
@@ -203,30 +205,36 @@ class TestFusedDiffAttention:
         k[0, 1, 2] = signs[0] * 1e20
         k[0, 1, 2, :2] *= signs[1]
         lam = Tensor(np.full(2, 0.8, dtype=np.float32))
-        qt, kt = Tensor(q), Tensor(k)
+        qh, kh = Tensor(q), Tensor(k)
         with pytest.raises(NonFiniteError):
-            _composed_diff_attention(qt, qt, kt, kt, kt, lam)
+            _composed_diff_attention(qh, qh, kh, kh, kh, lam)
+        qt, kt = Tensor(merge_heads(q)), Tensor(merge_heads(k))
         with pytest.raises(NonFiniteError):
             ops.diff_attention(qt, qt, kt, kt, kt, lam)
         with pytest.raises(NonFiniteError):
-            ops.attention_core(qt, kt, kt)
+            ops.attention_core(qt, kt, kt, 2)
 
     def test_large_finite_scores_pass_like_composed_path(self):
         q = Tensor(np.full((1, 1, 3, 4), 1e18, dtype=np.float32))
         k = Tensor(np.full((1, 1, 2, 4), 1e18, dtype=np.float32))
         lam = Tensor(np.full(1, 0.8, dtype=np.float32))
         composed = _composed_diff_attention(q, q, k, k, k, lam).data
-        np.testing.assert_allclose(ops.diff_attention(q, q, k, k, k, lam).data,
-                                   composed, rtol=1e-6)
+        qt, kt = Tensor(merge_heads(q.data)), Tensor(merge_heads(k.data))
+        np.testing.assert_allclose(ops.diff_attention(qt, qt, kt, kt, kt, lam).data,
+                                   merge_heads(composed), rtol=1e-6)
 
     def test_branch_and_lambda_shapes_checked(self, rng):
-        q1, q2, k1, k2, v, lam = (Tensor(a) for a in _diff_inputs(rng, 1, 2, 3, 3, 2))
+        q1, q2, k1, k2, v, lam = _as_tokens(_diff_inputs(rng, 1, 2, 3, 3, 2))
+        ops.diff_attention(q1, q2, k1, k2, v, lam)
+        # three heads cannot split a width of 4; lam must be one factor per head
+        for bad_lam in (np.ones(3), np.ones((2, 1))):
+            with pytest.raises(ShapeError):
+                ops.diff_attention(q1, q2, k1, k2, v, Tensor(bad_lam))
+        # a second query branch with fewer tokens, a second key branch with one head
         with pytest.raises(ShapeError):
-            ops.diff_attention(q1, q2, k1, k2, v, Tensor(np.ones(3)))
+            ops.diff_attention(q1, Tensor(q2.data[:, :2]), k1, k2, v, lam)
         with pytest.raises(ShapeError):
-            ops.diff_attention(q1, Tensor(q2.data[:, :, :2]), k1, k2, v, lam)
-        with pytest.raises(ShapeError):
-            ops.diff_attention(q1, q2, k1, Tensor(k2.data[:, :1]), v, lam)
+            ops.diff_attention(q1, q2, k1, Tensor(k2.data[:, :, :2]), v, lam)
 
 
 class TestEfficientCrossAttention:
@@ -235,10 +243,10 @@ class TestEfficientCrossAttention:
         x, y = rand_t(rng, (1, 4, 4, 4)), rand_t(rng, (1, 4, 4, 4))
         got = efficient_cross_attention(x, y, p).data
         xt, yt = _tokens(x.data), _tokens(y.data)
-        q = _heads(xt @ p.cq.w.data + p.cq.b.data, 2)
-        k = _heads(yt @ p.ck.w.data, 2)
-        v = _heads(yt @ p.cv.w.data + p.cv.b.data, 2)
-        out = _merge(attention_naive(q, k, v)) @ p.co.w.data + p.co.b.data
+        q = split_heads(xt @ p.cq.w.data + p.cq.b.data, 2)
+        k = split_heads(yt @ p.ck.w.data, 2)
+        v = split_heads(yt @ p.cv.w.data + p.cv.b.data, 2)
+        out = merge_heads(attention_naive(q, k, v)) @ p.co.w.data + p.co.b.data
         expected = out.reshape(1, 4, 4, 4).transpose(0, 3, 1, 2) + x.data
         np.testing.assert_allclose(got, expected, atol=1e-6)
 
@@ -257,10 +265,10 @@ class TestEfficientCrossAttention:
         got = efficient_cross_attention(x, y, p).data
         y_red = pool2d_naive(y.data, 2, 2, 0)
         xt, yt = _tokens(x.data), _tokens(y_red)
-        q = _heads(xt @ p.cq.w.data + p.cq.b.data, 2)
-        k = _heads(yt @ p.ck.w.data, 2)
-        v = _heads(yt @ p.cv.w.data + p.cv.b.data, 2)
-        out = _merge(attention_naive(q, k, v)) @ p.co.w.data + p.co.b.data
+        q = split_heads(xt @ p.cq.w.data + p.cq.b.data, 2)
+        k = split_heads(yt @ p.ck.w.data, 2)
+        v = split_heads(yt @ p.cv.w.data + p.cv.b.data, 2)
+        out = merge_heads(attention_naive(q, k, v)) @ p.co.w.data + p.co.b.data
         expected = out.reshape(1, 4, 4, 4).transpose(0, 3, 1, 2) + x.data
         np.testing.assert_allclose(got, expected, atol=1e-6)
 
@@ -374,3 +382,12 @@ class TestFusionForward:
         out = fusion_forward(ev, im, p)
         assert out.shape == (2, 4, 8, 8)
         assert np.isfinite(out.data).all()
+
+    def test_forward_records_at_most_41(self):
+        # a bound, not a pin: fewer records need no edit here
+        from evifuse.verify import fusion_case
+
+        forward, _, _ = fusion_case(1)
+        with Tape() as tape:
+            forward()
+        assert len(tape) <= 41

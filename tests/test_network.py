@@ -272,6 +272,33 @@ class TestModelForward:
         loss = loss_ce(logits, scene.labels)
         assert np.isfinite(loss.item())
 
+    def test_minimal_forward_records_at_most_327(self):
+        # the gradient-check network objective; a bound, not a pin
+        from evifuse.tensor import Tape
+        from evifuse.verify import network_case
+
+        forward, _, _ = network_case(1)
+        with Tape() as tape:
+            forward()
+        assert len(tape) <= 327
+
+
+class TestEncodeScene:
+    def test_window_us_is_the_encoded_duration(self):
+        # a 50 ms scene encoded over the last window_us before its frame: the
+        # activity map holds one unit per event of that window
+        from evifuse.events import window
+        from evifuse.network import encode_scene
+
+        scene = synth_scene(1, (64, 64), 2, 1.0, 50000)
+        totals = {}
+        for duration in (10000, 50000):
+            cfg = NetworkConfig(height=64, width=64, window_us=duration)
+            totals[duration] = float(encode_scene(scene, cfg).a_cm.data.sum())
+            count = window(scene.events, 50000, duration, (64, 64)).count
+            assert totals[duration] == pytest.approx(count, rel=1e-6)
+        assert totals[10000] != pytest.approx(totals[50000], rel=1e-6)
+
 
 class TestInitialParameterDigests:
     """Names, order, dtypes, shapes and values of every initial parameter."""

@@ -8,7 +8,9 @@ import pytest
 from evifuse import ops
 from evifuse.tensor import NonFiniteError, ShapeError, Tensor
 
-from _oracles import attention_naive, conv2d_naive, gap_naive, pool2d_naive
+from _oracles import (
+    attention_naive, conv2d_naive, gap_naive, merge_heads, pool2d_naive, split_heads,
+)
 
 
 def t(arr, dtype=np.float64):
@@ -304,22 +306,29 @@ class TestResample:
         assert out.shape == (1, 1, 16, 16)
 
 
+def _attend(q, k, v):
+    """attention_core on [B,h,N,d] heads, passed as tokens and split back."""
+    heads = q.shape[1]
+    out = ops.attention_core(t(merge_heads(q)), t(merge_heads(k)), t(merge_heads(v)), heads)
+    return split_heads(out.data, heads)
+
+
 class TestAttentionCore:
     def test_zero_queries_average_values(self, rng):
-        q = t(np.zeros((1, 2, 4, 3)))
-        k = t(rng.standard_normal((1, 2, 5, 3)))
-        v = t(rng.standard_normal((1, 2, 5, 3)))
-        out = ops.attention_core(q, k, v)
-        expected = np.broadcast_to(v.data.mean(axis=2, keepdims=True), out.shape)
-        np.testing.assert_allclose(out.data, expected, atol=1e-6)
+        q = np.zeros((1, 2, 4, 3))
+        k = rng.standard_normal((1, 2, 5, 3))
+        v = rng.standard_normal((1, 2, 5, 3))
+        out = _attend(q, k, v)
+        expected = np.broadcast_to(v.mean(axis=2, keepdims=True), out.shape)
+        np.testing.assert_allclose(out, expected, atol=1e-6)
 
     def test_single_key_returns_value(self, rng):
-        q = t(rng.standard_normal((1, 1, 3, 4)))
-        k = t(rng.standard_normal((1, 1, 1, 4)))
-        v = t(rng.standard_normal((1, 1, 1, 4)))
-        out = ops.attention_core(q, k, v)
-        expected = np.broadcast_to(v.data, out.shape)
-        np.testing.assert_allclose(out.data, expected, atol=1e-6)
+        q = rng.standard_normal((1, 1, 3, 4))
+        k = rng.standard_normal((1, 1, 1, 4))
+        v = rng.standard_normal((1, 1, 1, 4))
+        out = _attend(q, k, v)
+        expected = np.broadcast_to(v, out.shape)
+        np.testing.assert_allclose(out, expected, atol=1e-6)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_naive_oracle(self, seed):
@@ -328,14 +337,24 @@ class TestAttentionCore:
         q = rng.standard_normal((b, h, n, d))
         k = rng.standard_normal((b, h, nk, d))
         v = rng.standard_normal((b, h, nk, d))
-        out = ops.attention_core(t(q), t(k), t(v))
-        np.testing.assert_allclose(out.data, attention_naive(q, k, v), atol=1e-6)
+        np.testing.assert_allclose(_attend(q, k, v), attention_naive(q, k, v), atol=1e-6)
 
     def test_mismatched_dims_rejected(self, rng):
-        with pytest.raises(ShapeError):
-            ops.attention_core(t(rng.standard_normal((1, 1, 2, 3))),
-                               t(rng.standard_normal((1, 1, 2, 4))),
-                               t(rng.standard_normal((1, 1, 2, 4))))
+        # (query, key, value) token shapes and the head count
+        cases = [
+            ((1, 2, 6), (1, 2, 8), (1, 2, 8), 2),  # query and key widths differ
+            ((1, 2, 6), (1, 3, 6), (1, 3, 6, 1), 2),  # rank 4
+            ((1, 2, 6), (2, 3, 6), (2, 3, 6), 2),  # batch differs
+            ((1, 2, 6), (1, 3, 6), (1, 4, 6), 2),  # key and value token counts differ
+            ((1, 2, 6), (1, 3, 6), (1, 3, 4), 2),  # value width differs
+            ((1, 2, 6), (1, 3, 6), (1, 3, 6), 4),  # four heads do not divide 6
+            ((1, 2, 6), (1, 3, 6), (1, 3, 6), 0),  # no heads
+        ]
+        for *shapes, heads in cases:
+            with pytest.raises(ShapeError):
+                ops.attention_core(*(t(rng.standard_normal(s)) for s in shapes), heads)
+        out = ops.attention_core(*(t(rng.standard_normal(s)) for s in cases[-1][:3]), 3)
+        assert out.shape == (1, 2, 6)
 
 
 class TestConcurrency:
