@@ -6,8 +6,9 @@ per-head factor, subtracts common-mode responses). The image stream
 queries the event stream through cross-attention whose keys/values are
 average-pooled to cut token count. A two-channel softmax gate then mixes
 the streams per pixel, and a channelwise-normalized feed-forward block
-with a residual finishes the stage. Both attention paths hand the
-kernels the token projections as they are; the kernels own the head split.
+with a residual finishes the stage. Every step works on [B,C,H,W] maps:
+``linear`` projects a map's channels, and the attention kernels read
+and write maps and own the head split.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import ops
 from .params import Norm, Weights, conv_params, linear_params, norm_params
-from .tensor import ShapeError, Tensor, concat, linear, narrow, rearrange
+from .tensor import ShapeError, Tensor, concat, linear, narrow
 
 
 @dataclass
@@ -85,16 +86,6 @@ def init_fusion_params(store, rng, channels, heads, reduction, prefix="mgfm"):
     )
 
 
-def _to_tokens(x):
-    b, c, h, w = x.shape
-    return rearrange(x, (0, 2, 3, 1), (b, h * w, c))
-
-
-def _to_map(tokens, h, w):
-    b, _, c = tokens.shape
-    return rearrange(tokens, (0, 3, 1, 2), (b, c, h, w), split=(b, h, w, c))
-
-
 def differential_attention(x, y, p):
     """Event stream x attends to image stream y; dual-softmax difference.
 
@@ -102,23 +93,14 @@ def differential_attention(x, y, p):
     output A.V plus the residual x. lam = 0 collapses to plain
     cross-attention; Q1=Q2, K1=K2 with lam = 1 cancels to the residual.
     """
-    b, c, h, w = x.shape
-    if c % p.heads:
-        raise ShapeError(f"channels {c} not divisible by heads {p.heads}")
-    xt = _to_tokens(x)
-    yt = _to_tokens(y)
     attended = ops.diff_attention(
-        linear(xt, *p.q1), linear(xt, *p.q2), linear(yt, *p.k1), linear(yt, *p.k2),
-        linear(yt, *p.v), p.lam)
-    out = linear(attended, *p.eo)
-    return _to_map(out, h, w) + x
+        linear(x, *p.q1), linear(x, *p.q2), linear(y, *p.k1), linear(y, *p.k2),
+        linear(y, *p.v), p.lam)
+    return linear(attended, *p.eo) + x
 
 
 def efficient_cross_attention(x, y, p):
     """Image stream x attends to event stream y pooled by the reduction ratio."""
-    b, c, h, w = x.shape
-    if c % p.heads:
-        raise ShapeError(f"channels {c} not divisible by heads {p.heads}")
     r = p.reduction
     if r < 1:
         raise ValueError("reduction ratio must be >= 1")
@@ -126,11 +108,9 @@ def efficient_cross_attention(x, y, p):
     if yh % r or yw % r:
         raise ShapeError(f"source dims {yh}x{yw} not divisible by reduction {r}")
     y_red = ops.pool2d(y, r, r) if r > 1 else y
-    q = linear(_to_tokens(x), *p.cq)
-    yt = _to_tokens(y_red)
-    attended = ops.attention_core(q, linear(yt, *p.ck), linear(yt, *p.cv), p.heads)
-    out = linear(attended, *p.co)
-    return _to_map(out, h, w) + x
+    attended = ops.attention_core(
+        linear(x, *p.cq), linear(y_red, *p.ck), linear(y_red, *p.cv), p.heads)
+    return linear(attended, *p.co) + x
 
 
 def gate(ev_att, im_att, p):
@@ -154,11 +134,8 @@ def fuse(ev_att, im_att, gates):
 def enhance(fused, p):
     """Channel layernorm + feed-forward (1x1 expand, GELU, 1x1 contract) + residual."""
     normed = ops.layernorm_channels(fused, *p.ln)
-    b, c, h, w = fused.shape
-    tokens = _to_tokens(normed)
-    hidden = ops.gelu(linear(tokens, *p.ffn1))
-    out = linear(hidden, *p.ffn2)
-    return _to_map(out, h, w) + fused
+    hidden = ops.gelu(linear(normed, *p.ffn1))
+    return linear(hidden, *p.ffn2) + fused
 
 
 def fusion_forward(ev_rec, im_rec, p):

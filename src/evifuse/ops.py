@@ -15,9 +15,10 @@ Conventions fixed here:
   - batchnorm uses current-batch statistics, gradients flow through them
   - bilinear resampling maps dst -> (dst + 0.5) * scale - 0.5, edge-clamped
     (align-corners=false)
-  - attention (plain and dual-softmax differential) takes [B, tokens,
-    heads*dim] tensors, the layout linear writes; its one record splits
-    the heads as a numpy view and merges them back. It walks query blocks and
+  - attention (plain and dual-softmax differential) takes and returns
+    [B, heads*dim, H, W] maps, channels-last in memory as linear writes
+    them; its one record reads the heads as a numpy view of the map's
+    tokens and writes its result the same way. It walks query blocks and
     recomputes probabilities in backward (FlashAttention, Dao et al. 2022);
     the queries are scaled by 1/sqrt(d) once, before the score GEMMs
 """
@@ -29,7 +30,7 @@ import math
 
 import numpy as np
 
-from .tensor import NonFiniteError, ShapeError, Tensor, _check_finite, _make, tmean
+from .tensor import NonFiniteError, ShapeError, Tensor, _check_finite, _make, _map, _tokens, tmean
 
 EPS_NORM = 1e-5
 
@@ -49,8 +50,9 @@ def _out_extent(size, kernel, stride, pad):
 
 
 def _pad2d(x, pad):
+    """Zero-padded copy of x, or x itself as a C-contiguous array at pad 0."""
     if pad == 0:
-        return x
+        return np.ascontiguousarray(x)
     b, c, h, w = x.shape
     out = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     out[:, :, pad:-pad, pad:-pad] = x
@@ -58,12 +60,11 @@ def _pad2d(x, pad):
 
 
 def _window_view(xp, kh, kw, stride, out_h, out_w):
-    """Strided [B, C, kh, kw, Ho, Wo] view over a padded input."""
+    """Strided [B, C, kh, kw, Ho, Wo] view over a contiguous padded input."""
     b, c, _, _ = xp.shape
     sb, sc, sh, sw = xp.strides
-    shape = (b, c, kh, kw, out_h, out_w)
     strides = (sb, sc, sh, sw, sh * stride, sw * stride)
-    return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides)
+    return np.ndarray((b, c, kh, kw, out_h, out_w), xp.dtype, xp, 0, strides)
 
 
 def _scatter_windows(grad_cols, in_shape, kh, kw, stride, pad):
@@ -110,8 +111,7 @@ def _tap_view(y, cout, kh, kw, wp, stride, out_h, out_w):
     e = y.itemsize
     strides = (y.strides[0], kh * kw * n * e, (kw * n + wp) * e, (n + 1) * e,
                stride * wp * e, stride * e)
-    # the constructor, unlike as_strided, also checks the view against y's
-    # buffer (y is always a fresh contiguous array here)
+    # y is always a fresh contiguous array here
     return np.ndarray((b, cout, kh, kw, out_h, out_w), y.dtype, y, 0, strides)
 
 
@@ -385,23 +385,25 @@ def _exp_scores(q, kt, rowmax=None):
 
 
 def _check_heads(q, k, v, heads):
-    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
-        raise ShapeError("attention operands must be [B, tokens, heads * dim]")
-    if k.shape != v.shape or k.shape[::2] != q.shape[::2]:
-        raise ShapeError("batch, key/value token counts and widths must agree")
-    if heads < 1 or q.shape[2] % heads:
-        raise ShapeError(f"width {q.shape[2]} does not split into {heads} heads")
+    if q.ndim != 4 or k.ndim != 4 or v.ndim != 4:
+        raise ShapeError("attention operands must be [B, heads * dim, H, W] maps")
+    if k.shape != v.shape or k.shape[:2] != q.shape[:2]:
+        raise ShapeError("batch, widths and key/value extents must agree")
+    if heads < 1 or q.shape[1] % heads:
+        raise ShapeError(f"width {q.shape[1]} does not split into {heads} heads")
 
 
 def _split(x, heads):
-    """[B,N,h*d] tokens as a [B,h,N,d] view."""
-    b, n, c = x.shape
-    return x.reshape(b, n, heads, c // heads).transpose(0, 2, 1, 3)
+    """[B,h*d,H,W] map as a [B,h,H*W,d] view of its tokens."""
+    t = _tokens(x)
+    b, n, c = t.shape
+    return t.reshape(b, n, heads, c // heads).transpose(0, 2, 1, 3)
 
 
-def _merge(x):
+def _merge(x, like):
+    """[B,h,N,d] heads as a map of ``like``'s extents, channels-last in memory."""
     b, h, n, d = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, n, h * d)
+    return _map(x.transpose(0, 2, 1, 3).reshape(b, n, h * d), *like.shape[2:])
 
 
 def _attention(qs, ks, v, coef):
@@ -466,23 +468,23 @@ def _attention(qs, ks, v, coef):
 
 
 def attention_core(q, k, v, heads):
-    """softmax(Q.K^T / sqrt(d)) . V per head over [B,N,h*d] / [B,Nk,h*d] tokens."""
+    """softmax(Q.K^T / sqrt(d)) . V per head over [B,h*d,H,W] / [B,h*d,Hk,Wk] maps."""
     _check_heads(q, k, v, heads)
     out, core = _attention((_split(q.data, heads),), (_split(k.data, heads),),
                            _split(v.data, heads), (1.0,))
 
     def bwd(g):
         (gq,), (gk,), gv, _ = core(_split(g, heads))
-        return _merge(gq), _merge(gk), _merge(gv)
+        return _merge(gq, q), _merge(gk, k), _merge(gv, v)
 
-    return _make(_merge(out), (q, k, v), bwd)
+    return _make(_merge(out, q), (q, k, v), bwd)
 
 
 def diff_attention(q1, q2, k1, k2, v, lam):
     """(softmax(Q1.K1^T/sqrt(d)) - lam * softmax(Q2.K2^T/sqrt(d))) . V.
 
-    Dual-softmax differential attention over [B,N,h*d] query tokens and
-    [B,Nk,h*d] key/value tokens; lam [h] holds one subtraction factor per
+    Dual-softmax differential attention over [B,h*d,H,W] query maps and
+    [B,h*d,Hk,Wk] key/value maps; lam [h] holds one subtraction factor per
     head and so sets the head count.
     """
     if lam.ndim != 1:
@@ -498,9 +500,10 @@ def diff_attention(q1, q2, k1, k2, v, lam):
 
     def bwd(g):
         (gq1, gq2), (gk1, gk2), gv, (_, dot2) = core(_split(g, heads))
-        return (*map(_merge, (gq1, gq2, gk1, gk2, gv)), -dot2.sum(axis=(0, 2, 3)))
+        return (*map(_merge, (gq1, gq2, gk1, gk2, gv), (q1, q2, k1, k2, v)),
+                -dot2.sum(axis=(0, 2, 3)))
 
-    return _make(_merge(out), (q1, q2, k1, k2, v, lam), bwd)
+    return _make(_merge(out, q1), (q1, q2, k1, k2, v, lam), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def conv_params(store, prefix, rng, cout, cin, kh, kw, bias=True):
 
 
 def linear_params(store, prefix, rng, cin, cout, bias=True):
-    """[cin, cout] projection + zero bias for token-space linear maps."""
+    """[cin, cout] weight + zero bias for a ``linear`` channel projection."""
     w = store.add(f"{prefix}.w", uniform_init(rng, (cin, cout), cin))
     return Weights(w, store.add(f"{prefix}.b", np.zeros(cout)) if bias else None)
 

@@ -2,11 +2,12 @@
 
 A Tensor wraps a numpy array (float32 by default, float64 for gradient
 checks) and is treated as an immutable value once produced. Operations
-are pure functions (``linear``, ``reshape``, ``rearrange``, ``tsum``, ...);
-the class itself only overloads ``+`` and ``*``. When a Tape is active
-and an operand requires gradients, the operation appends a record to the
-tape. ``Tape.backward`` replays the records in exact reverse order,
-accumulating gradients into every tensor flagged with ``requires_grad``.
+are pure functions (``linear``, ``reshape``, ``narrow``, ``tsum``, ...);
+the class itself only overloads ``+`` and ``*``. ``linear`` projects the
+channels of a [B,C,H,W] map and leaves the result channels-last in memory.
+When a Tape is active and an operand requires gradients, the operation
+appends a record; ``Tape.backward`` replays the records in exact reverse
+order, accumulating gradients into every ``requires_grad`` tensor.
 
 Every operation validates that its output is finite; NaN/Inf anywhere is
 an error state, never silently propagated. Ops that only move or select
@@ -229,22 +230,41 @@ def mul(a, b):
     return _make(out, (a, b), bwd)
 
 
+def _tokens(x):
+    """[B,C,H,W] map as [B,H*W,C] tokens; a view when the map is channels-last."""
+    b, c, h, w = x.shape
+    return x.transpose(0, 2, 3, 1).reshape(b, h * w, c)
+
+
+def _map(tokens, h, w):
+    """[B,H*W,C] tokens as a [B,C,H,W] map view, channels-last in memory."""
+    b, _, c = tokens.shape
+    return tokens.reshape(b, h, w, c).transpose(0, 3, 1, 2)
+
+
 def linear(x, w, b=None):
-    """x . w (+ b) as one record: a batched matrix product plus an optional bias."""
-    if x.ndim < 2 or w.ndim < 2:
-        raise ShapeError("linear operands must have rank >= 2")
-    x_data, w_data = x.data, w.data
-    out = np.matmul(x_data, w_data)
+    """Channel projection x . w (+ b) of a [B,C,H,W] map by w [C,C'], one record.
+
+    The product runs on the map's tokens, and the [B,C',H,W] result is a
+    view of the product's tokens: a map from ``linear`` is channels-last
+    in memory, so a projection or attention kernel reads it without a copy.
+    """
+    if x.ndim != 4 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear projects a [B,C,H,W] map by a [C,C'] weight, "
+                         f"got {x.shape} and {w.shape}")
+    h, wd = x.shape[2:]
+    xt, w_data = _tokens(x.data), w.data
+    out = np.matmul(xt, w_data)
     if b is not None:
         out = out + b.data
 
     def bwd(g):
-        gx = np.matmul(g, np.swapaxes(w_data, -1, -2))
-        gw = np.matmul(np.swapaxes(x_data, -1, -2), g)
-        grads = (_unbroadcast(gx, x_data.shape), _unbroadcast(gw, w_data.shape))
-        return grads if b is None else (*grads, _unbroadcast(g, b.data.shape))
+        gt = _tokens(g)
+        gx = _map(np.matmul(gt, w_data.T), h, wd)
+        gw = np.matmul(np.swapaxes(xt, -1, -2), gt).sum(axis=0)
+        return (gx, gw) if b is None else (gx, gw, _unbroadcast(gt, b.data.shape))
 
-    return _make(out, (x, w) if b is None else (x, w, b), bwd)
+    return _make(_map(out, h, wd), (x, w) if b is None else (x, w, b), bwd)
 
 
 def reshape(t, shape):
@@ -253,32 +273,6 @@ def reshape(t, shape):
 
     def bwd(g):
         return (g.reshape(src_shape),)
-
-    return _make(out, (t,), bwd, check_finite=False)
-
-
-def _inverse_axes(axes):
-    inv = [0] * len(axes)
-    for i, a in enumerate(axes):
-        inv[a] = i
-    return tuple(inv)
-
-
-def rearrange(t, axes, shape, split=None):
-    """reshape(split), then transpose(axes), then reshape(shape): one record.
-
-    ``split`` defaults to the input shape. Token and head layouts are built
-    with this op, so each layout change costs one record and one adjoint.
-    """
-    src_shape = t.data.shape
-    moved = t.data if split is None else t.data.reshape(split)
-    moved = moved.transpose(axes)
-    moved_shape = moved.shape
-    out = moved.reshape(shape)
-    inv = _inverse_axes(tuple(axes))
-
-    def bwd(g):
-        return (g.reshape(moved_shape).transpose(inv).reshape(src_shape),)
 
     return _make(out, (t,), bwd, check_finite=False)
 

@@ -2,8 +2,10 @@
 
 Everything here is deliberately written as plain loops over numpy scalars,
 sharing no code with the package, so the vectorized implementations are
-checked against a genuinely different computation path. The one exception,
-``encode_global_bincount``, is an earlier vectorized form kept to pin bytes.
+checked against a genuinely different computation path. The exceptions:
+``encode_global_bincount`` is an earlier vectorized form kept to pin bytes,
+and ``batched_product`` and ``swap_last`` are tape ops on the package's
+``_make`` from which tests compose unfused references of fused kernels.
 """
 
 import math
@@ -13,6 +15,7 @@ from collections import namedtuple
 import numpy as np
 
 from evifuse.events import EventParseError
+from evifuse.tensor import _make
 
 Event = namedtuple("Event", "t_us x y p")
 
@@ -76,6 +79,31 @@ def merge_heads(x):
     """[B,h,N,d] heads, the layout of the attention oracles, as [B,N,h*d] tokens."""
     b, h, n, d = x.shape
     return x.transpose(0, 2, 1, 3).reshape(b, n, h * d)
+
+
+def token_map(x):
+    """[B,N,C] tokens as the [B,C,N,1] map of N pixels that ``linear`` and the
+    attention kernels take; such a map as tokens again."""
+    if x.ndim == 3:
+        return x.transpose(0, 2, 1)[..., None]
+    return x[..., 0].transpose(0, 2, 1)
+
+
+def batched_product(a, b):
+    """a . b over equal leading axes, recorded on the active tape."""
+    a_data, b_data = a.data, b.data
+
+    def bwd(g):
+        return (np.matmul(g, np.swapaxes(b_data, -1, -2)),
+                np.matmul(np.swapaxes(a_data, -1, -2), g))
+
+    return _make(np.matmul(a_data, b_data), (a, b), bwd)
+
+
+def swap_last(t):
+    """t with its last two axes swapped, recorded on the active tape."""
+    return _make(np.swapaxes(t.data, -1, -2), (t,),
+                 lambda g: (np.swapaxes(g, -1, -2),), check_finite=False)
 
 
 def attention_naive(q, k, v):

@@ -23,7 +23,9 @@ from evifuse.synth import synth_scene
 from evifuse.tensor import Tensor
 from evifuse.verify import TOLERANCE, run_checks
 
-from _oracles import attention_naive, conv2d_naive, encode_naive, merge_heads, pool2d_naive
+from _oracles import (
+    attention_naive, conv2d_naive, encode_naive, merge_heads, pool2d_naive, token_map,
+)
 
 ACCEPT_SCENE = dict(seed=7, dims=(64, 64), n_objects=2, noise_rate=0.5,
                     window_us=50000)
@@ -69,9 +71,9 @@ def test_criterion_1_oracle_equivalence():
         q = rng.standard_normal((1, 2, n, d))
         k = rng.standard_normal((1, 2, nk, d))
         v = rng.standard_normal((1, 2, nk, d))
-        # the kernel takes the draws as [B,N,h*d] tokens of 2 heads
-        got = ops.attention_core(*(Tensor(merge_heads(a)) for a in (q, k, v)), 2)
-        ref = merge_heads(attention_naive(q, k, v))
+        # the kernel takes the draws as [B,h*d,N,1] maps of 2 heads
+        got = ops.attention_core(*(Tensor(token_map(merge_heads(a))) for a in (q, k, v)), 2)
+        ref = token_map(merge_heads(attention_naive(q, k, v)))
         worst["attention"] = max(worst["attention"], float(np.abs(got.data - ref).max()))
 
     for seed in range(100):

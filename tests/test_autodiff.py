@@ -12,11 +12,11 @@ from evifuse.network import Model, NetworkConfig, encode_scene, loss_ce
 from evifuse.synth import synth_scene
 from evifuse.tensor import (
     ShapeError, Tape, TapeConsumedError, Tensor, add, astype, concat, linear,
-    narrow, rearrange, reshape, tmax, tmean, tsum,
+    narrow, reshape, tmax, tmean, tsum,
 )
 from evifuse.verify import TOLERANCE
 
-from _oracles import merge_heads
+from _oracles import merge_heads, token_map
 
 
 def t64(arr, requires_grad=False):
@@ -213,43 +213,35 @@ class TestOperatorAdjoints:
         assert _fd(lambda v: tsum(v * 2.5 + t64([1.0])), a) < 1e-6
 
     def test_matmul(self, rng):
-        # linear without a bias is a plain batched matrix product
-        a = rng.standard_normal((2, 3, 4))
+        # linear without a bias is a plain channel projection; [B,N,C]
+        # draws as [B,C,N,1] maps
+        a = token_map(rng.standard_normal((2, 3, 4)))
         b = t64(rng.standard_normal((4, 5)))
         assert _fd(lambda v: tsum(linear(v, b)), a) < 1e-6
-        c = t64(rng.standard_normal((2, 3, 4)))
+        c = t64(token_map(rng.standard_normal((2, 3, 4))))
         assert _fd(lambda v: tsum(linear(c, v)), rng.standard_normal((4, 5))) < 1e-6
 
-    def test_reshape_transpose_concat_narrow(self, rng):
+    def test_reshape_concat_narrow(self, rng):
         a = rng.standard_normal((2, 3, 4))
-        w = t64(rng.standard_normal((4, 3, 2)))
-        assert _fd(lambda v: tsum(rearrange(v, (2, 1, 0), (4, 3, 2)) * w), a) < 1e-6
         assert _fd(lambda v: tsum(reshape(v, (6, 4)) * 0.5), a) < 1e-6
         other = t64(rng.standard_normal((2, 2, 4)))
         assert _fd(lambda v: tsum(concat((v, other), axis=1)), a) < 1e-6
         assert _fd(lambda v: tsum(narrow(v, 1, 1, 2)), a) < 1e-6
 
-    def test_rearrange(self, rng):
-        a = rng.standard_normal((2, 3, 4, 5))
-        w = t64(rng.standard_normal((2, 20, 3)))
-        assert _fd(lambda v: tsum(rearrange(v, (0, 2, 3, 1), (2, 20, 3)) * w), a) < 1e-6
-        w = t64(rng.standard_normal((2, 2, 3, 10)))
-        split = lambda v: rearrange(v, (0, 2, 1, 3), (2, 2, 3, 10), split=(2, 3, 2, 10))
-        assert _fd(lambda v: tsum(split(v) * w), a) < 1e-6
-
     def test_linear(self, rng):
-        x = rng.standard_normal((2, 5, 3))
+        # [B,N,C] draws as [B,C,N,1] maps
+        x = token_map(rng.standard_normal((2, 5, 3)))
         w = t64(rng.standard_normal((3, 4)))
         b = t64(rng.standard_normal(4))
-        probe = t64(rng.standard_normal((2, 5, 4)))
+        probe = t64(token_map(rng.standard_normal((2, 5, 4))))
         assert _fd(lambda v: tsum(linear(v, w, b) * probe), x) < 1e-6
         xt = t64(x)
         assert _fd(lambda v: tsum(linear(xt, v, b) * probe), w.data.copy()) < 1e-6
         assert _fd(lambda v: tsum(linear(xt, w, v) * probe), b.data.copy()) < 1e-6
 
     def test_fused_layout_ops_equal_their_compositions(self, rng):
-        # one record each, bitwise the same values and gradients as the
-        # reshape/transpose and product/add chains they replace
+        # one record, bitwise the same values and gradients as the
+        # product/add chain it replaces
         def run(fn, *arrays):
             ts = [t64(a, requires_grad=True) for a in arrays]
             with Tape() as tape:
@@ -258,24 +250,17 @@ class TestOperatorAdjoints:
             tape.backward(y)
             return out.data, [t.grad for t in ts], len(tape)
 
-        x = rng.standard_normal((2, 6, 4))
+        # a [B,N,C] draw as a [B,C,N,1] map; the bias broadcast over the map
+        x = token_map(rng.standard_normal((2, 6, 4)))
         w = rng.standard_normal((4, 3))
         b = rng.standard_normal(3)
-        pairs = [
-            ((lambda v: rearrange(v, (0, 2, 1, 3), (2, 2, 6, 2), split=(2, 6, 2, 2)),
-              lambda v: rearrange(reshape(v, (2, 6, 2, 2)), (0, 2, 1, 3), (2, 2, 6, 2))),
-             (x,)),
-            ((lambda v: rearrange(v, (0, 2, 1), (2, 24)),
-              lambda v: reshape(rearrange(v, (0, 2, 1), (2, 4, 6)), (2, 24))), (x,)),
-            ((linear, lambda v, m, c: add(linear(v, m), c)), (x, w, b)),
-        ]
-        for (fused, composed), arrays in pairs:
-            out_f, grads_f, records_f = run(fused, *arrays)
-            out_c, grads_c, records_c = run(composed, *arrays)
-            assert np.array_equal(out_f, out_c)
-            for g_f, g_c in zip(grads_f, grads_c):
-                assert np.array_equal(g_f, g_c)
-            assert records_f == records_c - 1
+        out_f, grads_f, records_f = run(linear, x, w, b)
+        out_c, grads_c, records_c = run(
+            lambda v, m, c: add(linear(v, m), reshape(c, (3, 1, 1))), x, w, b)
+        assert np.array_equal(out_f, out_c)
+        for g_f, g_c in zip(grads_f, grads_c):
+            assert np.array_equal(g_f, g_c)
+        assert records_f == records_c - 2
 
     def test_reductions(self, rng):
         a = rng.standard_normal((3, 4, 5))
@@ -366,8 +351,8 @@ class TestOperatorAdjoints:
         assert _fd(lambda v: tsum(ops.resample(v, (9, 8)) * probe_up), x) < 1e-6
 
     def test_attention_core(self, rng):
-        # [B,h,N,d] draws, passed to the kernel as [B,N,h*d] tokens of 2 heads
-        q, k, v, probe = (merge_heads(rng.standard_normal(s)) for s in
+        # [B,h,N,d] draws, passed to the kernel as [B,h*d,N,1] maps of 2 heads
+        q, k, v, probe = (token_map(merge_heads(rng.standard_normal(s))) for s in
                           [(1, 2, 3, 4), (1, 2, 5, 4), (1, 2, 5, 4), (1, 2, 3, 4)])
         qt, kt, vt, probe = t64(q), t64(k), t64(v), t64(probe)
         assert _fd(lambda x: tsum(ops.attention_core(x, kt, vt, 2) * probe), q.copy()) < 1e-6
@@ -377,11 +362,11 @@ class TestOperatorAdjoints:
     def test_diff_attention(self, rng, monkeypatch):
         # two-row query blocks, so the adjoint's block loop runs three times
         monkeypatch.setattr(ops, "_ATTN_BLOCK_BYTES", 2 * 2 * 4 * 8)
-        # [B,h,N,d] draws, passed to the kernel as [B,N,h*d] tokens of 2 heads
+        # [B,h,N,d] draws, passed to the kernel as [B,h*d,N,1] maps of 2 heads
         shapes = [(1, 2, 5, 3)] * 2 + [(1, 2, 4, 3)] * 3
-        points = ([merge_heads(rng.standard_normal(s)) for s in shapes]
+        points = ([token_map(merge_heads(rng.standard_normal(s))) for s in shapes]
                   + [rng.uniform(0.2, 0.9, 2)])
-        probe = t64(merge_heads(rng.standard_normal((1, 2, 5, 3))))
+        probe = t64(token_map(merge_heads(rng.standard_normal((1, 2, 5, 3)))))
         for i, point in enumerate(points):
             fixed = [t64(p) for p in points]
 

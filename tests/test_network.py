@@ -272,7 +272,7 @@ class TestModelForward:
         loss = loss_ce(logits, scene.labels)
         assert np.isfinite(loss.item())
 
-    def test_minimal_forward_records_at_most_327(self):
+    def test_minimal_forward_records_at_most_295(self):
         # the gradient-check network objective; a bound, not a pin
         from evifuse.tensor import Tape
         from evifuse.verify import network_case
@@ -280,7 +280,7 @@ class TestModelForward:
         forward, _, _ = network_case(1)
         with Tape() as tape:
             forward()
-        assert len(tape) <= 327
+        assert len(tape) <= 295
 
 
 class TestEncodeScene:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from evifuse import ops
-from evifuse.tensor import NonFiniteError, ShapeError, Tensor
+from evifuse.tensor import NonFiniteError, ShapeError, Tensor, linear
 
 from _oracles import (
     attention_naive, conv2d_naive, gap_naive, merge_heads, pool2d_naive, split_heads,
+    token_map,
 )
 
 
@@ -31,6 +32,12 @@ class TestTensorBasics:
     def test_rejects_empty(self):
         with pytest.raises(ShapeError):
             Tensor(np.zeros((0, 3)))
+
+    def test_linear_rejects_mismatched_operands(self):
+        # a map of 3 channels against a weight for 4; tokens; a 3-D weight
+        for x, w in (((1, 3, 2, 2), (4, 4)), ((1, 4, 3), (3, 4)), ((1, 3, 2, 2), (1, 3, 4))):
+            with pytest.raises(ShapeError):
+                linear(Tensor(np.ones(x)), Tensor(np.ones(w)))
 
 
 class TestConv2d:
@@ -307,10 +314,10 @@ class TestResample:
 
 
 def _attend(q, k, v):
-    """attention_core on [B,h,N,d] heads, passed as tokens and split back."""
+    """attention_core on [B,h,N,d] heads, passed as [B,h*d,N,1] maps and split back."""
     heads = q.shape[1]
-    out = ops.attention_core(t(merge_heads(q)), t(merge_heads(k)), t(merge_heads(v)), heads)
-    return split_heads(out.data, heads)
+    out = ops.attention_core(*(t(token_map(merge_heads(a))) for a in (q, k, v)), heads)
+    return split_heads(token_map(out.data), heads)
 
 
 class TestAttentionCore:
@@ -340,21 +347,21 @@ class TestAttentionCore:
         np.testing.assert_allclose(_attend(q, k, v), attention_naive(q, k, v), atol=1e-6)
 
     def test_mismatched_dims_rejected(self, rng):
-        # (query, key, value) token shapes and the head count
+        # (query, key, value) map shapes and the head count
         cases = [
-            ((1, 2, 6), (1, 2, 8), (1, 2, 8), 2),  # query and key widths differ
-            ((1, 2, 6), (1, 3, 6), (1, 3, 6, 1), 2),  # rank 4
-            ((1, 2, 6), (2, 3, 6), (2, 3, 6), 2),  # batch differs
-            ((1, 2, 6), (1, 3, 6), (1, 4, 6), 2),  # key and value token counts differ
-            ((1, 2, 6), (1, 3, 6), (1, 3, 4), 2),  # value width differs
-            ((1, 2, 6), (1, 3, 6), (1, 3, 6), 4),  # four heads do not divide 6
-            ((1, 2, 6), (1, 3, 6), (1, 3, 6), 0),  # no heads
+            ((1, 6, 2, 1), (1, 8, 2, 1), (1, 8, 2, 1), 2),  # query and key widths differ
+            ((1, 6, 2, 1), (1, 6, 3, 1), (1, 6, 3), 2),  # value as tokens
+            ((1, 6, 2, 1), (2, 6, 3, 1), (2, 6, 3, 1), 2),  # batch differs
+            ((1, 6, 2, 1), (1, 6, 3, 1), (1, 6, 4, 1), 2),  # key and value extents differ
+            ((1, 6, 2, 1), (1, 6, 3, 1), (1, 4, 3, 1), 2),  # value width differs
+            ((1, 6, 2, 1), (1, 6, 3, 1), (1, 6, 3, 1), 4),  # four heads do not divide 6
+            ((1, 6, 2, 1), (1, 6, 3, 1), (1, 6, 3, 1), 0),  # no heads
         ]
         for *shapes, heads in cases:
             with pytest.raises(ShapeError):
                 ops.attention_core(*(t(rng.standard_normal(s)) for s in shapes), heads)
         out = ops.attention_core(*(t(rng.standard_normal(s)) for s in cases[-1][:3]), 3)
-        assert out.shape == (1, 2, 6)
+        assert out.shape == (1, 6, 2, 1)
 
 
 class TestConcurrency:
