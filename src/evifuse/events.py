@@ -27,21 +27,33 @@ class EventParseError(ValueError):
 class Events:
     """An event stream as four int64 columns ``t_us``, ``x``, ``y``, ``p`` (+-1).
 
-    The constructor stable-sorts the columns by timestamp (input order breaks
-    ties) and makes them read-only, because windows are views into them.
+    The constructor copies the columns, stable-sorts them by timestamp (input
+    order breaks ties) and makes them read-only, because windows are views
+    into them.
     """
 
     __slots__ = _COLUMNS
 
     def __init__(self, t_us, x, y, p):
-        cols = [np.asarray(c, dtype=np.int64) for c in (t_us, x, y, p)]
+        cols = [np.array(c, dtype=np.int64) for c in (t_us, x, y, p)]
         if any(c.ndim != 1 or len(c) != len(cols[0]) for c in cols):
             raise ValueError("event columns must be 1-D and of equal length")
-        order = np.argsort(cols[0], kind="stable")
+        self._own(cols)
+
+    def _own(self, cols):
+        """Hold the list of int64 columns, which no one else references, as its own.
+
+        Out-of-order stamps are stable-sorted one column at a time; sorted
+        columns are kept without a copy.
+        """
+        if (cols[0][1:] < cols[0][:-1]).any():
+            order = np.argsort(cols[0], kind="stable")
+            for i in range(len(cols)):
+                cols[i] = cols[i][order]
         for name, col in zip(_COLUMNS, cols):
-            col = col[order]
             col.flags.writeable = False
             setattr(self, name, col)
+        return self
 
     def __len__(self):
         return len(self.t_us)
@@ -76,18 +88,21 @@ def parse_events(stream, dims):
     the first bad line. The stable sort by timestamp is the canonical event
     order.
     """
-    parts, line_no = [], 1
+    parts, line_no = [[_NO_EVENTS] for _ in _COLUMNS], 1
     for text in _line_blocks(stream):
         cols = _parse_canonical(text, dims)
-        parts.append(_scan_lines(text, line_no, dims) if cols is None else cols)
+        for part, col in zip(parts, _scan_lines(text, line_no, dims) if cols is None else cols):
+            part.append(col)
         line_no += text.count("\n")
-    columns = [np.concatenate(c) for c in zip(*parts)] if parts else _NO_COLUMNS
-    del parts  # free the block columns before Events makes its sorted copies
-    return Events(*columns)
+    columns = []
+    for part in parts:  # one column at a time, freeing its blocks as it is joined
+        columns.append(np.concatenate(part))
+        part.clear()
+    return Events.__new__(Events)._own(columns)
 
 
 _PARSE_BLOCK_BYTES = 256 * 1024  # characters read per block; peak memory scales with it
-_NO_COLUMNS = (np.empty(0, dtype=np.int64),) * 4
+_NO_EVENTS = np.empty(0, dtype=np.int64)
 _COMMENT_LINE = re.compile(r"^#.*\n", re.MULTILINE)
 _DIGIT, _MINUS, _COMMA, _NEWLINE = 1, 2, 3, 4  # separators last: class >= _COMMA
 _BYTE_CLASS = np.zeros(256, dtype=np.uint8)  # 0: a byte no canonical event line holds
@@ -120,7 +135,7 @@ def _parse_canonical(text, dims):
     if "#" in text:  # drop the "#" lines; any other "#" fails the byte classes
         text = _COMMENT_LINE.sub("", text)
         if not text:
-            return _NO_COLUMNS
+            return (_NO_EVENTS,) * 4
     try:
         buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError:
@@ -143,8 +158,8 @@ def _parse_canonical(text, dims):
     if (values.min(axis=0) < (0, 0, 0, -1)).any() \
             or (values.max(axis=0)[1:] > (width - 1, height - 1, 1)).any():
         return None  # a negative stamp, x or y off the sensor, or p not in {-1, 0, 1}
-    t_us, x, y, p = values.T
-    return t_us, x, y, np.where(p == 0, -1, p)
+    t_us, x, y, p = values.T  # contiguous copies, so the rows go with the block
+    return t_us.copy(), x.copy(), y.copy(), np.where(p == 0, -1, p)
 
 
 def _scan_lines(block, line_no, dims):

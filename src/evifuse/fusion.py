@@ -107,7 +107,7 @@ def efficient_cross_attention(x, y, p):
     yh, yw = y.shape[2:]
     if yh % r or yw % r:
         raise ShapeError(f"source dims {yh}x{yw} not divisible by reduction {r}")
-    y_red = ops.pool2d(y, r, r) if r > 1 else y
+    y_red = ops.pool2d(y, r) if r > 1 else y
     attended = ops.attention_core(
         linear(x, *p.cq), linear(y_red, *p.ck), linear(y_red, *p.cv), p.heads)
     return linear(attended, *p.co) + x

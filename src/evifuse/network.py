@@ -23,7 +23,7 @@ from .fusion import fusion_forward, init_fusion_params
 from .params import Norm, ParamStore, Weights, conv_params, make_rng, norm_params
 from .recalibrate import init_recal_params, recalibrate
 from .refine import init_refine_params, refine_forward
-from .tensor import ShapeError, Tape, Tensor, astype, concat, reshape
+from .tensor import ShapeError, Tape, Tensor, concat, reshape
 
 STAGES = 4
 
@@ -241,13 +241,16 @@ class Model:
             t.data = t.data.astype(dtype, copy=False)
 
     def forward(self, image, e_vt, a_cm):
-        """[B,3,H,W] + [B,bins,H,W] event tensors -> [B,classes,H,W] logits."""
+        """[B,3,H,W] + [B,bins,H,W] tensors of the model's dtype -> [B,classes,H,W] logits."""
         cfg = self.cfg
         if image.shape[2:] != (cfg.height, cfg.width):
             raise ShapeError(f"image dims {image.shape[2:]} != config "
                              f"{(cfg.height, cfg.width)}")
         if e_vt.shape != a_cm.shape or e_vt.shape[1] != cfg.bins:
             raise ShapeError("event tensors must agree and match config bins")
+        for t in (image, e_vt, a_cm):
+            if t.dtype != self.dtype:
+                raise ValueError(f"input dtype {t.dtype} != model dtype {np.dtype(self.dtype)}")
         refined = refine_forward(e_vt, a_cm, self.refine) if cfg.use_aefrm else e_vt
         e_stages = encode_stages(refined, self.event_enc)
         i_stages = encode_stages(image, self.image_enc)
@@ -264,16 +267,9 @@ class Model:
         return decode(fused, self.decoder, (cfg.height, cfg.width))
 
     def forward_encoded(self, image, encoded):
-        """Forward from an EncodedEvents pair; adds the batch axis."""
-        e_vt = reshape(encoded.e_vt, (1, *encoded.e_vt.shape))
-        a_cm = reshape(encoded.a_cm, (1, *encoded.a_cm.shape))
-        if image.ndim == 3:
-            image = reshape(image, (1, *image.shape))
-        if self.dtype != image.dtype:
-            image = astype(image, self.dtype)
-            e_vt = astype(e_vt, self.dtype)
-            a_cm = astype(a_cm, self.dtype)
-        return self.forward(image, e_vt, a_cm)
+        """Forward of a [3,H,W] image and an EncodedEvents pair; adds the batch axis."""
+        return self.forward(*(reshape(t, (1, *t.shape))
+                              for t in (image, encoded.e_vt, encoded.a_cm)))
 
 
 def loss_ce(logits, labels):

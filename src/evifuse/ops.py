@@ -10,8 +10,8 @@ Conventions fixed here:
     im2col window copy (Cin*kh*kw*Ho*Wo values), or, when that holds more
     values than Cout*kh*kw*Hp*Wp, one GEMM over the padded input followed
     by a strided shift-sum over the kernel taps (kn2row)
-  - pooling averages and divides by the full kernel area (zero padding
-    counts as zeros)
+  - pooling averages non-overlapping k x k windows (stride k, no
+    padding); rows and columns past the last whole window are dropped
   - batchnorm uses current-batch statistics, gradients flow through them
   - bilinear resampling maps dst -> (dst + 0.5) * scale - 0.5, edge-clamped
     (align-corners=false)
@@ -170,24 +170,23 @@ def conv2d(x, weight, bias=None, stride=1, pad=0):
     return _make(out, (x, weight, bias), bwd)
 
 
-def pool2d(x, kernel, stride, pad=0):
-    """Per-window average over [B,C,H,W]."""
-    if pad >= kernel:
-        raise ShapeError("pooling pad must be smaller than the kernel")
-    b, c, h, w = x.shape
-    out_h = _out_extent(h, kernel, stride, pad)
-    out_w = _out_extent(w, kernel, stride, pad)
+def pool2d(x, kernel):
+    """Average over non-overlapping kernel x kernel windows of [B,C,H,W].
 
-    cols = _window_view(_pad2d(x.data, pad), kernel, kernel, stride, out_h, out_w)
+    Rows and columns past the last whole window are dropped.
+    """
+    b, c, h, w = x.shape
+    out_h = _out_extent(h, kernel, kernel, 0)
+    out_w = _out_extent(w, kernel, kernel, 0)
+    cols = _window_view(np.ascontiguousarray(x.data), kernel, kernel, kernel, out_h, out_w)
     area = kernel * kernel
     out = cols.reshape(b, c, area, out_h, out_w).sum(axis=2) / area
 
     def bwd(g):
-        gcols = np.broadcast_to(
-            (g / area)[:, :, None, None, :, :],
-            (b, c, kernel, kernel, out_h, out_w),
-        )
-        return (_scatter_windows(gcols, x.shape, kernel, kernel, stride, pad),)
+        # each input pixel lies in at most one window
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        _window_view(gx, kernel, kernel, kernel, out_h, out_w)[...] = (g / area)[:, :, None, None]
+        return (gx,)
 
     return _make(out, (x,), bwd)
 
@@ -196,7 +195,7 @@ def gap(x):
     """Global average pooling: spatial mean per (batch, channel)."""
     if x.ndim != 4:
         raise ShapeError("gap expects a [B,C,H,W] tensor")
-    return tmean(x, axis=(2, 3), keepdims=True)
+    return tmean(x, (2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +342,7 @@ def resample(x, target):
         raise ShapeError("target extents must be >= 1")
     b, c, h, w = x.shape
     if (h, w) == (h2, w2):
-        return _make(x.data.copy(), (x,), lambda g: (g,), check_finite=False)
+        return x  # tensors are immutable values, so the input serves as is
     ry = _interp_matrix(h, h2, x.data.dtype.type)
     rx = _interp_matrix(w, w2, x.data.dtype.type)
     out = np.matmul(np.matmul(ry, x.data), rx.T)

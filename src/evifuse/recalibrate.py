@@ -47,15 +47,7 @@ def channel_recalibrate(ev, im, p):
 
 def spatial_stats(ev_c, im_c):
     """Per-pixel channel statistics [B,4,H,W]: avg/max of each stream."""
-    return concat(
-        (
-            tmean(ev_c, axis=1, keepdims=True),
-            tmax(ev_c, axis=1, keepdims=True),
-            tmean(im_c, axis=1, keepdims=True),
-            tmax(im_c, axis=1, keepdims=True),
-        ),
-        axis=1,
-    )
+    return concat((tmean(ev_c, 1), tmax(ev_c, 1), tmean(im_c, 1), tmax(im_c, 1)), axis=1)
 
 
 def spatial_masks(stats, p):

@@ -5,9 +5,11 @@ checks) and is treated as an immutable value once produced. Operations
 are pure functions (``linear``, ``reshape``, ``narrow``, ``tsum``, ...);
 the class itself only overloads ``+`` and ``*``. ``linear`` projects the
 channels of a [B,C,H,W] map and leaves the result channels-last in memory.
-When a Tape is active and an operand requires gradients, the operation
-appends a record; ``Tape.backward`` replays the records in exact reverse
-order, accumulating gradients into every ``requires_grad`` tensor.
+``tsum`` sums the whole tensor; ``tmean`` and ``tmax`` keep the reduced
+axes at extent 1. When a Tape is active and an operand requires
+gradients, the operation appends a record; ``Tape.backward`` replays the
+records in exact reverse order, accumulating gradients into every
+``requires_grad`` tensor.
 
 Every operation validates that its output is finite; NaN/Inf anywhere is
 an error state, never silently propagated. Ops that only move or select
@@ -277,17 +279,6 @@ def reshape(t, shape):
     return _make(out, (t,), bwd, check_finite=False)
 
 
-def astype(t, dtype):
-    """Dtype conversion; the gradient converts back to the source dtype."""
-    src_dtype = t.data.dtype
-    out = t.data.astype(dtype)
-
-    def bwd(g):
-        return (g.astype(src_dtype),)
-
-    return _make(out, (t,), bwd)
-
-
 def concat(tensors, axis):
     datas = [t.data for t in tensors]
     out = np.concatenate(datas, axis=axis)
@@ -315,58 +306,41 @@ def narrow(t, axis, start, length):
     return _make(out, (t,), bwd, check_finite=False)
 
 
-def tsum(t, axis=None, keepdims=False):
-    out = t.data.sum(axis=axis, keepdims=keepdims)
+def tsum(t):
+    """Sum of every element, as a one-value tensor."""
+    out = t.data.sum()
     src_shape = t.data.shape
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, src_shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, src_shape).copy(),)
 
     return _make(out, (t,), bwd)
 
 
-def tmean(t, axis=None, keepdims=False):
+def tmean(t, axes):
+    """Mean over ``axes``, which stay as extent-1 axes."""
     src_shape = t.data.shape
-    # a Python int: a numpy int64 count would promote float32 gradients
-    count = t.data.size if axis is None else math.prod(
-        src_shape[a] for a in _norm_axes(axis, t.ndim)
-    )
     # ndarray.mean's own reduction and division, without its Python wrapper
-    out = np.add.reduce(t.data, axis=axis, keepdims=keepdims) / count
+    total = np.add.reduce(t.data, axis=axes, keepdims=True)
+    # a Python int: a numpy int64 count would promote float32 gradients
+    count = t.data.size // total.size
+    out = total / count
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, src_shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / count, src_shape).copy(),)
 
     return _make(out, (t,), bwd)
 
 
-def tmax(t, axis, keepdims=False):
-    """Maximum along one axis; gradient routes to the first argmax."""
-    out = t.data.max(axis=axis, keepdims=keepdims)
-    arg = np.expand_dims(t.data.argmax(axis=axis), axis)
+def tmax(t, axis):
+    """Maximum along one axis, which stays at extent 1; gradient routes to the first argmax."""
+    out = t.data.max(axis=axis, keepdims=True)
+    arg = t.data.argmax(axis=axis, keepdims=True)
     src_shape = t.data.shape
 
     def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         full = np.zeros(src_shape, dtype=g.dtype)
         np.put_along_axis(full, arg, g, axis=axis)
         return (full,)
 
     return _make(out, (t,), bwd, check_finite=False)
-
-
-def _norm_axes(axis, ndim):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(a % ndim for a in axis)

@@ -11,7 +11,7 @@ from evifuse.gradcheck import check_input, check_param
 from evifuse.network import Model, NetworkConfig, encode_scene, loss_ce
 from evifuse.synth import synth_scene
 from evifuse.tensor import (
-    ShapeError, Tape, TapeConsumedError, Tensor, add, astype, concat, linear,
+    ShapeError, Tape, TapeConsumedError, Tensor, add, concat, linear,
     narrow, reshape, tmax, tmean, tsum,
 )
 from evifuse.verify import TOLERANCE
@@ -89,19 +89,11 @@ class TestTapeSemantics:
         y = tsum(x * x)
         assert y.requires_grad is False
 
-    def test_astype_is_recorded(self):
-        x = Tensor(np.array([1.0, 2.0, 3.0], dtype=np.float32), requires_grad=True)
-        with Tape() as tape:
-            y = tsum(astype(x, np.float64) * 3.0)
-        tape.backward(y)
-        assert x.grad is not None and x.grad.dtype == np.float32
-        np.testing.assert_array_equal(x.grad, [3.0, 3.0, 3.0])
-
     def test_float32_adjoints_stay_float32(self, rng):
         x = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32),
                    requires_grad=True)
         with Tape() as tape:
-            tsum(ops.gelu(ops.gap(x) * 2.0) + tmean(x, axis=(2, 3), keepdims=True))
+            tsum(ops.gelu(ops.gap(x) * 2.0) + tmean(x, (2, 3)))
         for out, _, backward_fn in tape._records:
             grads = backward_fn(np.ones_like(out.data))
             assert all(g.dtype == np.float32 for g in grads if g is not None)
@@ -264,10 +256,11 @@ class TestOperatorAdjoints:
 
     def test_reductions(self, rng):
         a = rng.standard_normal((3, 4, 5))
-        assert _fd(lambda v: tsum(tmean(v, axis=1, keepdims=True) * 3.0), a) < 1e-6
-        assert _fd(lambda v: tsum(tsum(v, axis=2) * 0.5), a) < 1e-6
+        probe = t64(rng.standard_normal((3, 1, 5)))
+        assert _fd(lambda v: tsum(tmean(v, 1) * probe), a) < 1e-6
+        assert _fd(lambda v: tsum(tmean(v, (0, 2)) * 3.0), a) < 1e-6
         a_spread = a + np.arange(60).reshape(3, 4, 5)  # no ties
-        assert _fd(lambda v: tsum(tmax(v, axis=1)), a_spread) < 1e-6
+        assert _fd(lambda v: tsum(tmax(v, 1) * probe), a_spread) < 1e-6
 
     def test_activations(self, rng):
         a = rng.standard_normal((3, 7))
@@ -329,10 +322,12 @@ class TestOperatorAdjoints:
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     def test_pool2d(self, rng):
-        x = rng.standard_normal((2, 2, 6, 6))
-        probe = t64(rng.standard_normal((2, 2, 3, 3)))
-        assert _fd(lambda v: tsum(ops.pool2d(v, 2, 2) * probe), x) < 1e-6
-        assert _fd(lambda v: tsum(ops.pool2d(v, 3, 1, pad=1)), x) < 1e-6
+        x = rng.standard_normal((2, 2, 7, 8))
+        probe = t64(rng.standard_normal((2, 2, 3, 4)))
+        assert _fd(lambda v: tsum(ops.pool2d(v, 2) * probe), x) < 1e-6
+        # 3 divides neither extent: the dropped rows and columns get zero gradient
+        probe = t64(rng.standard_normal((2, 2, 2, 2)))
+        assert _fd(lambda v: tsum(ops.pool2d(v, 3) * probe), x) < 1e-6
 
     def test_normalization(self, rng):
         x = rng.standard_normal((2, 3, 4, 4)) * 2 + 0.5

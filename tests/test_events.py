@@ -2,6 +2,7 @@
 
 import io
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -60,6 +61,10 @@ class TestEvents:
         t[0] = 99
         assert events.t_us.tolist() == [10, 20]
         assert t.flags.writeable
+        # columns already in time order are copied too
+        events = Events(t[::-1], [0, 1], [0, 1], [1, 1])
+        t[1] = 5
+        assert events.t_us.tolist() == [10, 99] and t.flags.writeable
 
     @pytest.mark.parametrize("cols", [
         ([1, 2], [0], [0, 0], [1, 1]),
@@ -226,6 +231,25 @@ class TestParseBlocks:
                      "5,10,1,1", "5,1,1,1,1\n5,1,1", "5,1#c\n,1,1"):
             with pytest.raises(AssertionError, match="line scan"):
                 parse(CANONICAL + f"{line}\n")
+
+    def test_parse_peak_memory_is_one_copy_of_the_columns(self, tmp_path):
+        # the four int64 columns take 32 bytes an event; the blocks, the
+        # joins and the sort check may hold 16 more at the peak
+        n = 500_000
+        rng = np.random.default_rng(11)
+        cols = (np.sort(rng.integers(0, 1_000_000, n)), rng.integers(0, 346, n),
+                rng.integers(0, 260, n), rng.integers(0, 2, n))
+        path = tmp_path / "events.csv"
+        path.write_text("".join(map("{},{},{},{}\n".format, *(c.tolist() for c in cols))))
+        tracemalloc.start()
+        try:
+            with open(path) as fh:
+                events = parse_events(fh, (260, 346))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(events.t_us, cols[0]) and np.array_equal(events.y, cols[2])
+        assert peak <= 48 * n, f"{peak / n:.1f} bytes per event"
 
 
 # CSV lines for the differential parser test: valid events (a narrow stamp

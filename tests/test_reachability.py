@@ -29,7 +29,6 @@ ALLOWED = {
     "params.ParamStore.__getitem__": "perfbench/workloads.py picks the parameters it checks by name",
     "params.ParamStore.names": "perfbench/record.py lists the parameters it records",
     "tensor.Tensor.__repr__": "what repr() shows of a tensor; the program never formats one",
-    "tensor.astype": "forward_encoded casts the encodings for a float64 Model; CLI models are float32",
 }
 
 SMALL_CONFIG = {

@@ -50,8 +50,8 @@ class TestActivityPyramid:
         a_cm = Tensor(np.full((1, 1, 32, 32), c), dtype=np.float64)
         x = Tensor(a_cm.data.reshape(1, 1, 32, 32))
         f_s = ops.conv2d(x, p.stem.w, p.stem.b, stride=4, pad=3)
-        f_p1 = ops.conv2d(ops.pool2d(x, 3, 3), p.p1.w, p.p1.b, pad=1)
-        f_p2 = ops.conv2d(ops.pool2d(x, 5, 5), p.p2.w, p.p2.b, pad=1)
+        f_p1 = ops.conv2d(ops.pool2d(x, 3), p.p1.w, p.p1.b, pad=1)
+        f_p2 = ops.conv2d(ops.pool2d(x, 5), p.p2.w, p.p2.b, pad=1)
         merged = (f_s + ops.resample(f_p1, (8, 8)) + ops.resample(f_p2, (8, 8))).data
         np.testing.assert_allclose(merged[0, 0, 2:6, 2:6], 67 * c, rtol=1e-6)
 

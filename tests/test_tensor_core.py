@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from evifuse import ops
-from evifuse.tensor import NonFiniteError, ShapeError, Tensor, linear
+from evifuse.tensor import NonFiniteError, ShapeError, Tape, Tensor, linear
 
 from _oracles import (
     attention_naive, conv2d_naive, gap_naive, merge_heads, pool2d_naive, split_heads,
@@ -151,26 +151,19 @@ class TestConv2dLowerings:
 
 class TestPool2d:
     def test_avg_2x2(self):
-        out = ops.pool2d(t([[[[1.0, 2.0], [3.0, 4.0]]]]), 2, 2)
+        out = ops.pool2d(t([[[[1.0, 2.0], [3.0, 4.0]]]]), 2)
         np.testing.assert_allclose(out.data, [[[[2.5]]]])
-
-    def test_avg_pad_counts_zeros(self):
-        # full-kernel-area convention: padded taps enter the denominator
-        out = ops.pool2d(t(np.ones((1, 1, 2, 2))), 3, 1, pad=1)
-        assert out.data[0, 0, 0, 0] == pytest.approx(4.0 / 9.0)
 
     @pytest.mark.parametrize("kind", ["avg"])  # the one pooling kind
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_naive_oracle(self, kind, seed):
         rng = np.random.default_rng(seed + 100)
-        kernel = int(rng.integers(1, 4))
-        stride = int(rng.integers(1, 3))
-        pad = int(rng.integers(0, min(kernel, 2)))
-        h = int(rng.integers(kernel + 1, 9))
-        x = rng.standard_normal((2, 2, h, h))
-        out = ops.pool2d(t(x), kernel, stride, pad)
+        kernel = int(rng.integers(1, 6))
+        h, w = (int(v) for v in rng.integers(kernel, 4 * kernel + 1, 2))
+        x = rng.standard_normal((2, 2, h, w))
+        out = ops.pool2d(t(x), kernel)
         np.testing.assert_allclose(
-            out.data, pool2d_naive(x, kernel, stride, pad), atol=1e-6)
+            out.data, pool2d_naive(x, kernel, kernel, 0), atol=1e-6)
 
 
 class TestGap:
@@ -292,6 +285,12 @@ class TestResample:
         src = np.clip((np.arange(m) + 0.5) * (n / m) - 0.5, 0.0, n - 1.0)
         expected = src * 2.0 + 1.0
         np.testing.assert_allclose(out.data[0, 0, 0], expected, atol=1e-6)
+
+    def test_same_size_returns_its_input_unrecorded(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 5, 7)), requires_grad=True)
+        with Tape() as tape:
+            out = ops.resample(x, (5, 7))
+        assert out is x and len(tape) == 0
 
     def test_cached_interp_matrix_is_read_only(self):
         m = ops._interp_matrix(4, 9, np.float64)
