@@ -53,8 +53,7 @@ def encode(win, bins):
         raise ValueError(f"window span t_end_us - t_start_us = {span} is not positive")
     t, x, y, p = win.t_us, win.x, win.y, win.p
     for name, col, size in (("x", x, w), ("y", y, h)):
-        # as uint64 a negative value is >= 2**63, so one max finds both sides
-        if len(col) and col.view(np.uint64).max() >= size:
+        if len(col) and (col.min() < 0 or col.max() >= size):
             raise ValueError(f"event {name} outside [0, {size})")
     if len(t) > 1 and not (t[1:] >= t[:-1]).all():
         order = np.argsort(t, kind="stable")
@@ -69,22 +68,22 @@ def encode(win, bins):
 
     e_vt = np.empty((bins, h * w), dtype=np.float32)
     a_cm = np.empty((bins, h * w), dtype=np.float32)
-    e_hi = a_hi = 0.0  # the high sums the previous run passed to this plane
+    prev = None  # pixels, p * w_hi and w_hi of the run whose high terms go to plane k
     for k in range(bins):
         run = slice(cuts[k], cuts[k + 1])
-        base = y[run] * w
+        base = y[run] * np.intp(w)  # in intp: a narrow y times the width can overflow
         base += x[run]
         w_hi = tstar[run]
         w_hi -= k  # in place: each run is read once
         w_lo = 1.0 - w_hi
         pk = p[run].astype(np.float64)
-        e_lo = np.bincount(base, weights=pk * w_lo, minlength=h * w)
-        a_lo = np.bincount(base, weights=w_lo, minlength=h * w)
-        np.add(e_lo, e_hi, out=e_vt[k], casting="unsafe")
-        np.add(a_lo, a_hi, out=a_cm[k], casting="unsafe")
-        if k + 1 < bins:  # the last plane has no successor
-            e_hi = np.bincount(base, weights=np.multiply(pk, w_hi, out=pk), minlength=h * w)
-            a_hi = np.bincount(base, weights=w_hi, minlength=h * w)
+        for out, w_run, side in ((e_vt[k], pk * w_lo, 1), (a_cm[k], w_lo, 2)):
+            # the low and high sums are made back to back, still in cache when added
+            lo = np.bincount(base, weights=w_run, minlength=h * w)
+            hi = 0.0 if prev is None else np.bincount(prev[0], weights=prev[side],
+                                                      minlength=h * w)
+            np.add(lo, hi, out=out, casting="unsafe")
+        prev = base, np.multiply(pk, w_hi, out=pk), w_hi
 
     shape = (bins, h, w)
     return EncodedEvents(e_vt=Tensor(e_vt.reshape(shape)),

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_COLUMNS = ("t_us", "x", "y", "p")
+# each column's dtype: microsecond stamps need int64; pixel coordinates and
+# polarity fit int16 and int8, 13 bytes an event in all
+_COLUMNS = {"t_us": np.dtype(np.int64), "x": np.dtype(np.int16),
+            "y": np.dtype(np.int16), "p": np.dtype(np.int8)}
 
 
 class EventParseError(ValueError):
@@ -25,23 +28,31 @@ class EventParseError(ValueError):
 
 
 class Events:
-    """An event stream as four int64 columns ``t_us``, ``x``, ``y``, ``p`` (+-1).
+    """An event stream as four columns: ``t_us`` int64, ``x`` and ``y`` int16,
+    ``p`` (+-1) int8.
 
-    The constructor copies the columns, stable-sorts them by timestamp (input
-    order breaks ties) and makes them read-only, because windows are views
-    into them.
+    The constructor copies the columns into those dtypes, stable-sorts them
+    by timestamp (input order breaks ties) and makes them read-only, because
+    windows are views into them. It raises ``ValueError`` for a value its
+    column cannot hold instead of wrapping it.
     """
 
-    __slots__ = _COLUMNS
+    __slots__ = tuple(_COLUMNS)
 
     def __init__(self, t_us, x, y, p):
-        cols = [np.array(c, dtype=np.int64) for c in (t_us, x, y, p)]
+        cols = [np.asarray(c) for c in (t_us, x, y, p)]
         if any(c.ndim != 1 or len(c) != len(cols[0]) for c in cols):
             raise ValueError("event columns must be 1-D and of equal length")
+        for i, (name, dtype) in enumerate(_COLUMNS.items()):
+            with np.errstate(invalid="ignore"):  # a value cast out of range fails below
+                narrow = cols[i].astype(dtype)  # a copy, also when the dtype matches
+            if not np.array_equal(narrow, cols[i]):
+                raise ValueError(f"event {name} holds a value that does not fit {dtype}")
+            cols[i] = narrow
         self._own(cols)
 
     def _own(self, cols):
-        """Hold the list of int64 columns, which no one else references, as its own.
+        """Hold the list of columns, which no one else references, as its own.
 
         Out-of-order stamps are stable-sorted one column at a time; sorted
         columns are kept without a copy.
@@ -86,23 +97,27 @@ def parse_events(stream, dims):
     column 0, or four ``-?[0-9]+`` fields of at most 18 characters); any other
     block goes through the line scan, which defines the grammar and reports
     the first bad line. The stable sort by timestamp is the canonical event
-    order.
+    order. ``ValueError`` if ``dims`` exceed what the int16 pixel columns hold.
     """
-    parts, line_no = [[_NO_EVENTS] for _ in _COLUMNS], 1
+    height, width = dims
+    if max(height, width) > _PIXEL_LIMIT:
+        raise ValueError(f"dims {dims} exceed the int16 pixel columns")
+    parts, line_no = [[empty] for empty in _NO_EVENTS], 1
     for text in _line_blocks(stream):
         cols = _parse_canonical(text, dims)
         for part, col in zip(parts, _scan_lines(text, line_no, dims) if cols is None else cols):
             part.append(col)
         line_no += text.count("\n")
-    columns = []
-    for part in parts:  # one column at a time, freeing its blocks as it is joined
-        columns.append(np.concatenate(part))
+    columns = []  # joined one column at a time, freeing its blocks as it goes
+    for part, dtype in zip(parts, _COLUMNS.values()):
+        columns.append(np.concatenate(part, dtype=dtype, casting="no"))
         part.clear()
     return Events.__new__(Events)._own(columns)
 
 
 _PARSE_BLOCK_BYTES = 256 * 1024  # characters read per block; peak memory scales with it
-_NO_EVENTS = np.empty(0, dtype=np.int64)
+_NO_EVENTS = tuple(np.empty(0, dtype) for dtype in _COLUMNS.values())
+_PIXEL_LIMIT = np.iinfo(_COLUMNS["x"]).max + 1  # so x < width and y < height fit
 _COMMENT_LINE = re.compile(r"^#.*\n", re.MULTILINE)
 _DIGIT, _MINUS, _COMMA, _NEWLINE = 1, 2, 3, 4  # separators last: class >= _COMMA
 _BYTE_CLASS = np.zeros(256, dtype=np.uint8)  # 0: a byte no canonical event line holds
@@ -135,7 +150,7 @@ def _parse_canonical(text, dims):
     if "#" in text:  # drop the "#" lines; any other "#" fails the byte classes
         text = _COMMENT_LINE.sub("", text)
         if not text:
-            return (_NO_EVENTS,) * 4
+            return _NO_EVENTS
     try:
         buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError:
@@ -159,7 +174,9 @@ def _parse_canonical(text, dims):
             or (values.max(axis=0)[1:] > (width - 1, height - 1, 1)).any():
         return None  # a negative stamp, x or y off the sensor, or p not in {-1, 0, 1}
     t_us, x, y, p = values.T  # contiguous copies, so the rows go with the block
-    return t_us.copy(), x.copy(), y.copy(), np.where(p == 0, -1, p)
+    p = p.astype(_COLUMNS["p"])
+    p[p == 0] = -1
+    return t_us.copy(), x.astype(_COLUMNS["x"]), y.astype(_COLUMNS["y"]), p
 
 
 def _scan_lines(block, line_no, dims):
@@ -193,7 +210,7 @@ def _scan_lines(block, line_no, dims):
         xs.append(x)
         ys.append(y)
         ps.append(p)
-    return [np.array(c, dtype=np.int64) for c in cols]
+    return [np.array(c, dtype=dtype) for c, dtype in zip(cols, _COLUMNS.values())]
 
 
 def serialize_events(events):

@@ -46,9 +46,9 @@ def _float_array(data, dtype=None):
 
 
 def _check_finite(arr):
-    # a non-finite entry makes the float64 sum non-finite (values in this
-    # artifact are far too small for an all-finite sum to overflow)
-    if not math.isfinite(np.add.reduce(arr, None, np.float64)):
+    # a non-finite entry makes the sum, taken in the array's own dtype,
+    # non-finite; a finite array whose sum overflows passes the exact check
+    if not math.isfinite(np.add.reduce(arr, None)):
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("tensor holds NaN/Inf values")
 

@@ -223,10 +223,10 @@ def encode_global_bincount(win, bins):
         * (win.t_us - win.t_start_us).astype(np.float64)
         / float(win.t_end_us - win.t_start_us)
     )
-    lo = np.floor(tstar).astype(np.int64)
+    lo = np.floor(tstar).astype(np.intp)
     w_hi = tstar - lo
     w_lo = 1.0 - w_hi
-    base = win.y * w + win.x
+    base = win.y * np.intp(w) + win.x
     idx_lo = lo * (h * w) + base
     hi = lo + 1 <= bins - 1
     idx_hi = idx_lo[hi] + h * w

@@ -1,6 +1,7 @@
 """Projection/activity encoding: kernel, time normalization, accumulation."""
 
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -296,6 +297,25 @@ class TestRejectsMalformedWindows:
         win = column_window([10, 20], [2, x], [2, y], [1, 1], 0, 100, SMALL_SENSOR)
         with pytest.raises(ValueError, match=message):
             encode(win, 3)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, np.uint16])
+    def test_off_sensor_check_reads_values_of_any_integer_dtype(self, dtype):
+        # odd and even lengths: a check through a uint64 view of the bytes
+        # misreads narrow columns
+        def win(x, y):
+            n = len(x)
+            return EventWindow(np.arange(10, 10 + n), np.array(x, dtype), np.array(y, dtype),
+                               np.ones(n, np.int8), 0, 100, *SMALL_SENSOR)
+
+        for x, y in (([1, 2], [3, 4]), ([0, 4, 9], [0, 3, 7])):
+            enc = encode(win(x, y), 3)
+            assert enc.a_cm.data[:, y, x].sum(axis=0).tolist() == [1.0] * len(x)
+        bad = [([1, 10], [3, 4], "x outside [0, 10)"), ([0, 4, 9], [0, 8, 7], "y outside [0, 8)")]
+        if np.dtype(dtype).kind == "i":
+            bad += [([1, -1], [3, 4], "x outside [0, 10)"), ([0, 4, 9], [0, 3, -5], "y outside [0, 8)")]
+        for x, y, message in bad:
+            with pytest.raises(ValueError, match=f"^event {re.escape(message)}$"):
+                encode(win(x, y), 3)
 
     @pytest.mark.parametrize("t_us", [[-1, 50], [50, 101], [101, 50], [50, -1]])
     def test_stamp_outside_window(self, t_us):

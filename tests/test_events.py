@@ -21,6 +21,7 @@ from _oracles import Event, eift_bytes, parse_events_naive, rows, window_naive
 
 DIMS = (10, 10)
 NO_EVENTS = Events([], [], [], [])
+COLUMN_DTYPES = {"t_us": np.int64, "x": np.int16, "y": np.int16, "p": np.int8}
 
 
 def parse(text, dims=DIMS):
@@ -29,6 +30,10 @@ def parse(text, dims=DIMS):
 
 def csv_text(events):
     return "".join(f"{e.t_us},{e.x},{e.y},{e.p}\n" for e in events)
+
+
+def assert_column_dtypes(events):
+    assert {c: getattr(events, c).dtype for c in COLUMN_DTYPES} == COLUMN_DTYPES
 
 
 def assert_matches_oracle(text, dims=DIMS):
@@ -45,15 +50,29 @@ def assert_matches_oracle(text, dims=DIMS):
 
 
 class TestEvents:
-    def test_columns_are_stably_sorted_read_only_int64(self):
+    def test_columns_are_stably_sorted_read_only_narrow(self):
         events = Events([30, 10, 30, 10], [1, 2, 3, 4], [5, 6, 7, 8], [1, -1, -1, 1])
         assert len(events) == 4
         assert rows(events) == [Event(10, 2, 6, -1), Event(10, 4, 8, 1),
                                 Event(30, 1, 5, 1), Event(30, 3, 7, -1)]
+        assert_column_dtypes(events)
+        assert_column_dtypes(NO_EVENTS)
+        wide = Events([2**63 - 1], [2**15 - 1], [-2**15], [-128])  # the extremes fit
+        assert rows(wide) == [Event(2**63 - 1, 2**15 - 1, -2**15, -128)]
         for col in (events.t_us, events.x, events.y, events.p):
-            assert col.dtype == np.int64 and not col.flags.writeable
+            assert not col.flags.writeable
             with pytest.raises(ValueError):
                 col[0] = 0
+
+    @pytest.mark.parametrize("column, value", [
+        ("t_us", 2**63), ("t_us", 0.5), ("x", 2**15), ("x", -2**15 - 1),
+        ("y", 40_000), ("p", 128), ("p", -129),
+    ])
+    def test_value_that_does_not_fit_its_column_rejected(self, column, value):
+        cols = {"t_us": [5, 6], "x": [1, 2], "y": [1, 2], "p": [1, -1]}
+        cols[column] = [cols[column][0], value]
+        with pytest.raises(ValueError, match=f"event {column} holds a value that does not fit"):
+            Events(**cols)
 
     def test_caller_arrays_are_not_aliased(self):
         t = np.array([20, 10], dtype=np.int64)
@@ -80,7 +99,7 @@ class TestParse:
     def test_single_line(self):
         events = parse("1000,2,3,1\n")
         assert rows(events) == [Event(1000, 2, 3, 1)]
-        assert all(getattr(events, c).dtype == np.int64 for c in Event._fields)
+        assert_column_dtypes(events)
 
     def test_zero_polarity_maps_to_minus_one(self):
         assert parse("5,0,0,0\n").p[0] == -1
@@ -232,9 +251,26 @@ class TestParseBlocks:
             with pytest.raises(AssertionError, match="line scan"):
                 parse(CANONICAL + f"{line}\n")
 
+    @pytest.mark.parametrize("block", [24, 1 << 18])
+    @pytest.mark.parametrize("text", [
+        "1,2,3,1\n4,5,6,0\n",  # canonical
+        " 1,2,3,1\n4,5,6,0\n",  # line scan
+        "# only a comment\n", "",
+        "# a comment\n" + CANONICAL + "7, 2,2,1\n" + CANONICAL,  # every kind of block
+    ])
+    def test_every_parse_path_yields_the_column_dtypes(self, monkeypatch, block, text):
+        monkeypatch.setattr(events_module, "_PARSE_BLOCK_BYTES", block)
+        assert_column_dtypes(parse(text))
+
+    @pytest.mark.parametrize("dims", [(2**15 + 1, 10), (10, 2**15 + 1)])
+    def test_dims_beyond_the_pixel_columns_rejected(self, dims):
+        with pytest.raises(ValueError, match="exceed the int16 pixel columns"):
+            parse("1,2,3,1\n", dims)
+        assert rows(parse("1,32767,3,1\n", (10, 2**15))) == [Event(1, 2**15 - 1, 3, 1)]
+
     def test_parse_peak_memory_is_one_copy_of_the_columns(self, tmp_path):
-        # the four int64 columns take 32 bytes an event; the blocks, the
-        # joins and the sort check may hold 16 more at the peak
+        # the columns take 13 bytes an event; the blocks, joining the 8-byte
+        # stamps and the sort check may hold 15 more at the peak
         n = 500_000
         rng = np.random.default_rng(11)
         cols = (np.sort(rng.integers(0, 1_000_000, n)), rng.integers(0, 346, n),
@@ -249,7 +285,7 @@ class TestParseBlocks:
         finally:
             tracemalloc.stop()
         assert np.array_equal(events.t_us, cols[0]) and np.array_equal(events.y, cols[2])
-        assert peak <= 48 * n, f"{peak / n:.1f} bytes per event"
+        assert peak <= 28 * n, f"{peak / n:.1f} bytes per event"
 
 
 # CSV lines for the differential parser test: valid events (a narrow stamp

@@ -24,10 +24,16 @@ class TestTensorBasics:
         assert x.size == 24 and x.shape == (2, 3, 4)
 
     def test_rejects_nan_and_inf(self):
-        with pytest.raises(NonFiniteError):
-            Tensor(np.array([1.0, np.nan]))
-        with pytest.raises(NonFiniteError):
-            Tensor(np.array([np.inf, 1.0]))
+        for dtype in (np.float64, np.float32):
+            for bad in ([1.0, np.nan], [np.inf, 1.0], [1.0, -np.inf, 2.0]):
+                with pytest.raises(NonFiniteError):
+                    Tensor(np.array(bad, dtype=dtype))
+
+    def test_float32_whose_sum_overflows_is_finite(self):
+        # the float32 sum is Inf, so the exact per-entry check decides
+        with np.errstate(over="ignore"):
+            x = Tensor(np.array([3e38, 3e38], dtype=np.float32))
+        assert x.data.dtype == np.float32
 
     def test_rejects_empty(self):
         with pytest.raises(ShapeError):
