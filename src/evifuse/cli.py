@@ -139,18 +139,14 @@ def cmd_sweep_duration(args):
     image = Tensor(np.full((3, *dims), 0.5, dtype=np.float32))
     print(f"{'duration_us':>12} {'events':>8} {'activity':>10} "
           f"{'logit min':>10} {'logit max':>10}")
-    shapes = set()
     for duration in durations:
         win = window(events, args.t_end, duration, dims)
         enc = encode(win, cfg.bins)
         logits = model.forward_encoded(image, enc)
         out = f"{args.out_dir.rstrip('/')}/logits_{duration}.eift"
         write_tensor(out, logits)
-        shapes.add(logits.shape)
         print(f"{duration:>12} {win.count:>8} {float(enc.a_cm.data.sum()):>10.2f} "
               f"{float(logits.data.min()):>10.4f} {float(logits.data.max()):>10.4f}")
-    if len(shapes) != 1:
-        raise CliError(f"output shapes diverged: {shapes}")
     return 0
 
 

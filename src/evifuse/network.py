@@ -329,15 +329,13 @@ def train_toy(scene, cfg, steps, lr):
     encoded = encode_scene(scene, cfg)
     history = []
     for step in range(steps):
-        model.store.zero_grad()
         try:
             with Tape() as tape:
                 logits = model.forward_encoded(scene.image, encoded)
                 loss = loss_ce(logits, scene.labels)
             history.append(loss.item())
-            tape.backward(loss)
-            for _, t in model.store.items():
-                t.data = t.data - lr * t.grad_array()
+            for t, g in tape.backward(loss).items():
+                t.data = t.data - lr * g
         except (FloatingPointError, ArithmeticError) as exc:
             raise TrainingDiverged(step) from exc
     pred = predict(model, scene.image, encoded)

@@ -1,4 +1,4 @@
-"""Named learnable parameters with accumulated gradients.
+"""Named learnable parameters.
 
 Weights are drawn uniform in (-a, a) with a = 1/sqrt(fan_in) from numpy's
 default_rng (PCG64), so runs are reproducible per seed. Biases start at
@@ -52,10 +52,6 @@ class ParamStore:
 
     def items(self):
         return list(self._items.items())
-
-    def zero_grad(self):
-        for t in self._items.values():
-            t.grad = None
 
 
 def make_rng(seed):

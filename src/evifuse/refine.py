@@ -28,7 +28,7 @@ class RefineParams:
     mask: Weights
 
 
-def init_refine_params(store, rng, width=8, prefix="aefrm"):
+def init_refine_params(store, rng, width, prefix="aefrm"):
     if width < 1:
         raise ValueError("refinement width must be >= 1")
     return RefineParams(

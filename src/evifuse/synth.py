@@ -22,6 +22,7 @@ from .tensorio import read_tensor, write_tensor
 
 BACKGROUND = 0.5
 MIN_CONTRAST = 0.1  # object brightness must differ from background
+MAX_SPEED = 0.4  # bound on each velocity component, px per ms
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ def render_labels(objects, t_ms, dims):
 
 
 def motion_events(objects, dims, duration_ms):
-    """Frame-difference events, one pass per integer millisecond step."""
+    """Frame-difference event columns (t_us, x, y, p), one pass per millisecond step."""
     steps = [(np.zeros(0, dtype=np.int64),) * 4]
     prev = render_brightness(objects, 0, dims)
     for t in range(1, duration_ms + 1):
@@ -106,14 +107,13 @@ def motion_events(objects, dims, duration_ms):
         t_us = t * 1000 - 500  # step midpoint keeps stamps inside the window
         steps.append((np.full(len(ys), t_us), xs, ys, np.where(diff[ys, xs] > 0, 1, -1)))
         prev = cur
-    return Events(*(np.concatenate(col) for col in zip(*steps)))
+    return tuple(np.concatenate(col) for col in zip(*steps))
 
 
-def synth_scene(seed, dims, n_objects, noise_rate, window_us, max_speed=0.4):
+def synth_scene(seed, dims, n_objects, noise_rate, window_us):
     """Deterministic scene: rectangles, final-time image/labels, event stream.
 
-    noise_rate is in events per millisecond; max_speed bounds each velocity
-    component in px/ms (0 freezes all objects).
+    noise_rate is in events per millisecond.
     """
     h, w = _validate_dims(dims)
     if n_objects < 1:
@@ -129,8 +129,8 @@ def synth_scene(seed, dims, n_objects, noise_rate, window_us, max_speed=0.4):
         ow = int(rng.integers(max(4, w // 5), w // 3 + 1))
         y0 = float(rng.integers(0, h - oh + 1))
         x0 = float(rng.integers(0, w - ow + 1))
-        vx = float(rng.uniform(-max_speed, max_speed))
-        vy = float(rng.uniform(-max_speed, max_speed))
+        vx = float(rng.uniform(-MAX_SPEED, MAX_SPEED))
+        vy = float(rng.uniform(-MAX_SPEED, MAX_SPEED))
         while True:
             color = rng.uniform(0.05, 0.95, size=3)
             if abs(color.mean() - BACKGROUND) >= MIN_CONTRAST:
@@ -143,8 +143,7 @@ def synth_scene(seed, dims, n_objects, noise_rate, window_us, max_speed=0.4):
     n_noise = int(round(noise_rate * duration_ms))
     noise = (rng.integers(0, window_us, size=n_noise), rng.integers(0, w, size=n_noise),
              rng.integers(0, h, size=n_noise), rng.choice(np.array([-1, 1]), size=n_noise))
-    columns = (motion.t_us, motion.x, motion.y, motion.p)
-    events = Events(*(np.concatenate(pair) for pair in zip(columns, noise)))
+    events = Events(*(np.concatenate(pair) for pair in zip(motion, noise)))
 
     return SyntheticScene(
         events=events,

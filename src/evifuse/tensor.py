@@ -8,8 +8,8 @@ channels of a [B,C,H,W] map and leaves the result channels-last in memory.
 ``tsum`` sums the whole tensor; ``tmean`` and ``tmax`` keep the reduced
 axes at extent 1. When a Tape is active and an operand requires
 gradients, the operation appends a record; ``Tape.backward`` replays the
-records in exact reverse order, accumulating gradients into every
-``requires_grad`` tensor.
+records in exact reverse order and returns the gradients as a dict keyed
+by tensor identity. Tensors hold no gradient state.
 
 Every operation validates that its output is finite; NaN/Inf anywhere is
 an error state, never silently propagated. Ops that only move or select
@@ -54,14 +54,13 @@ def _check_finite(arr):
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = _float_array(data, dtype)
         _check_finite(arr)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
 
     @property
     def shape(self):
@@ -81,22 +80,6 @@ class Tensor:
 
     def item(self):
         return float(self.data.reshape(-1)[0])
-
-    def accumulate_grad(self, g):
-        if g.shape != self.data.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} != value shape {self.data.shape}"
-            )
-        if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
-        else:
-            self.grad = self.grad + g
-
-    def grad_array(self):
-        """Accumulated gradient, zeros if this tensor was never reached."""
-        if self.grad is None:
-            return np.zeros_like(self.data)
-        return self.grad
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name})"
@@ -138,32 +121,35 @@ class Tape:
         return len(self._records)
 
     def backward(self, output):
-        """Accumulate d(output)/d(x) into every recorded requires_grad tensor.
+        """Gradients of ``output`` with respect to the leaves it depends on.
 
-        ``output`` must hold a single value. Tensors never touched by the
-        recorded computation keep a zero (absent) gradient. Intermediate
-        adjoints live in a side table; only leaves (tensors not produced by
-        any record on this tape) receive a persistent ``.grad``.
+        ``output`` must hold a single value. Returns a dict keyed by tensor
+        identity: each ``requires_grad`` leaf (a tensor no record on this
+        tape produced) that the recorded computation connects to ``output``
+        maps to d(output)/d(leaf), an array of the leaf's shape. Leaves the
+        output does not depend on have no entry. A ``requires_grad`` leaf
+        as ``output`` gives ``{output: ones}``; an output that does not
+        require gradients gives ``{}``. Entries may share memory with one
+        another, so treat them as read-only.
         """
         if self._consumed:
             raise TapeConsumedError("tape has already been consumed by backward()")
         if output.size != 1:
             raise ShapeError(f"backward needs a scalar output, got shape {output.shape}")
         self._consumed = True
-        produced = {id(out) for out, _, _ in self._records}
-        adjoint = {id(output): np.ones_like(output.data)}
+        # every record pops its own output, so the entries left are the leaves
+        adjoint = {output: np.ones_like(output.data)} if output.requires_grad else {}
         for out, inputs, backward_fn in reversed(self._records):
-            g = adjoint.pop(id(out), None)
+            g = adjoint.pop(out, None)
             if g is None:
                 continue  # this record does not feed the requested output
             for inp, gin in zip(inputs, backward_fn(g)):
-                if gin is None or not isinstance(inp, Tensor) or not inp.requires_grad:
-                    continue
-                if id(inp) in produced:
-                    key = id(inp)
-                    adjoint[key] = adjoint[key] + gin if key in adjoint else gin
-                else:
-                    inp.accumulate_grad(gin)
+                if gin.shape != inp.data.shape:
+                    raise ShapeError(
+                        f"gradient shape {gin.shape} != value shape {inp.data.shape}")
+                if inp.requires_grad:
+                    adjoint[inp] = adjoint[inp] + gin if inp in adjoint else gin
+        return adjoint
 
 
 # per thread (and per asyncio task): one thread's tape never sees another's ops
@@ -182,11 +168,8 @@ def _make(out_data, inputs, backward_fn, check_finite=True):
     out = object.__new__(Tensor)
     out.data = arr
     out.requires_grad = False
-    out.grad = None
     tape = _ACTIVE_TAPE.get()
-    if tape is not None and any(
-        isinstance(x, Tensor) and x.requires_grad for x in inputs
-    ):
+    if tape is not None and any(x.requires_grad for x in inputs):
         out.requires_grad = True
         tape._records.append((out, inputs, backward_fn))
     return out

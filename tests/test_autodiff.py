@@ -28,15 +28,13 @@ class TestTapeSemantics:
         x = t64(rng.standard_normal((3, 4)), requires_grad=True)
         with Tape() as tape:
             y = tsum(x)
-        tape.backward(y)
-        np.testing.assert_allclose(x.grad, np.ones((3, 4)))
+        np.testing.assert_allclose(tape.backward(y)[x], np.ones((3, 4)))
 
     def test_sigmoid_gradient_at_zero(self):
         x = t64(np.zeros(5), requires_grad=True)
         with Tape() as tape:
             y = tsum(ops.sigmoid(x))
-        tape.backward(y)
-        np.testing.assert_allclose(x.grad, np.full(5, 0.25))
+        np.testing.assert_allclose(tape.backward(y)[x], np.full(5, 0.25))
 
     def test_backward_rejects_non_scalar(self, rng):
         x = t64(rng.standard_normal(4), requires_grad=True)
@@ -58,31 +56,58 @@ class TestTapeSemantics:
         unused = t64(rng.standard_normal(3), requires_grad=True)
         with Tape() as tape:
             y = tsum(x * x)
-        tape.backward(y)
-        assert unused.grad is None
-        np.testing.assert_allclose(unused.grad_array(), np.zeros(3))
+        grads = tape.backward(y)
+        assert unused not in grads
+        assert list(grads) == [x]
 
     def test_detached_value_blocks_gradient(self, rng):
         x = t64(rng.standard_normal(3), requires_grad=True)
         with Tape() as tape:
             y = tsum(Tensor(x.data) * 3.0)
-        tape.backward(y)
-        assert x.grad is None
+        assert tape.backward(y) == {}
 
-    def test_gradients_accumulate_across_passes(self, rng):
+    def test_passes_return_equal_independent_gradients(self, rng):
         x = t64(rng.standard_normal(3), requires_grad=True)
+        passes = []
         for _ in range(2):
             with Tape() as tape:
-                y = tsum(x)
-            tape.backward(y)
-        np.testing.assert_allclose(x.grad, np.full(3, 2.0))
+                y = tsum(x * 2.0)
+            passes.append(tape.backward(y)[x])
+        np.testing.assert_array_equal(passes[0], np.full(3, 2.0))
+        np.testing.assert_array_equal(passes[1], passes[0])
+        assert not np.shares_memory(passes[0], passes[1])
 
     def test_reused_input_sums_contributions(self, rng):
         x = t64(rng.standard_normal(3), requires_grad=True)
         with Tape() as tape:
             y = tsum(x + x)
-        tape.backward(y)
-        np.testing.assert_allclose(x.grad, np.full(3, 2.0))
+        np.testing.assert_allclose(tape.backward(y)[x], np.full(3, 2.0))
+
+    def test_leaf_output_gradient_is_ones(self):
+        x = t64([1.5], requires_grad=True)
+        with Tape() as tape:
+            tsum(x)  # a record that does not produce the output
+        grads = tape.backward(x)
+        assert list(grads) == [x]
+        np.testing.assert_array_equal(grads[x], [1.0])
+
+    def test_output_without_gradients_gives_no_entries(self, rng):
+        x = t64(rng.standard_normal(3), requires_grad=True)
+        with Tape() as tape:
+            tsum(x)
+            y = tsum(t64(rng.standard_normal(3)))
+        assert tape.backward(y) == {}
+
+    def test_misshaped_intermediate_gradient_rejected(self, rng):
+        # the sum's adjoint returns a [3,3] gradient for the [3,1] sum x + x;
+        # the add's adjoint would sum it down to a leaf-shaped (wrong) one
+        x = t64(rng.standard_normal((3, 1)), requires_grad=True)
+        with Tape() as tape:
+            y = tsum(x + x)
+        out, inputs, _ = tape._records[1]
+        tape._records[1] = (out, inputs, lambda g: (np.ones((3, 3)),))
+        with pytest.raises(ShapeError, match=r"gradient shape \(3, 3\)"):
+            tape.backward(y)
 
     def test_no_recording_without_tape(self, rng):
         x = t64(rng.standard_normal(3), requires_grad=True)
@@ -115,9 +140,9 @@ class TestTapeSemantics:
             return run
 
         tape._records[:] = [(out, inputs, recording(fn)) for out, inputs, fn in tape._records]
-        tape.backward(loss)
+        param_grads = tape.backward(loss)
         assert dtypes == {np.dtype(np.float32)}
-        assert {t.grad_array().dtype for _, t in model.store.items()} == {np.dtype(np.float32)}
+        assert {g.dtype for g in param_grads.values()} == {np.dtype(np.float32)}
 
     def test_tape_is_per_thread(self):
         # A enters and leaves its tape while B is inside its own; B's ops
@@ -138,8 +163,7 @@ class TestTapeSemantics:
                 barrier.wait()  # 2
                 barrier.wait()  # 3
                 y = tsum(x * 3.0)
-            tape.backward(y)
-            grads["b"] = x.grad
+            grads["b"] = tape.backward(y)[x]
 
         threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
         for t in threads:
@@ -156,8 +180,7 @@ class TestFiniteDifferenceCheck:
         x = t64([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
             y = tsum(x * x)
-        tape.backward(y)
-        np.testing.assert_allclose(x.grad, [2.0, 4.0])
+        np.testing.assert_allclose(tape.backward(y)[x], [2.0, 4.0])
         assert _fd(lambda v: tsum(v * v), [1.0, 2.0]) < 1e-8
 
     def test_relu_away_from_kinks(self, rng):
@@ -239,8 +262,8 @@ class TestOperatorAdjoints:
             with Tape() as tape:
                 out = fn(*ts)
                 y = tsum(out * t64(np.linspace(-1.0, 1.0, out.size).reshape(out.shape)))
-            tape.backward(y)
-            return out.data, [t.grad for t in ts], len(tape)
+            grads = tape.backward(y)
+            return out.data, [grads[t] for t in ts], len(tape)
 
         # a [B,N,C] draw as a [B,C,N,1] map; the bias broadcast over the map
         x = token_map(rng.standard_normal((2, 6, 4)))
@@ -308,12 +331,10 @@ class TestOperatorAdjoints:
 
         # the same adjoint as the im2col lowering, to rounding
         def grads():
-            for v in (x, w, b):
-                v.grad = None
             with Tape() as tape:
                 y = conv(x, w, b)
-            tape.backward(y)
-            return [v.grad_array() for v in (x, w, b)]
+            found = tape.backward(y)
+            return [found[v] for v in (x, w, b)]
 
         shift_sum = grads()
         with mock.patch.object(ops, "_conv_shift_sum", ops._conv_im2col):

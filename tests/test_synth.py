@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evifuse import synth
-from evifuse.events import serialize_events
+from evifuse.events import Events, serialize_events
 from evifuse.synth import (
     SceneFormatError, SceneObject, load_scene, motion_events, save_scene,
     synth_scene,
@@ -31,14 +31,15 @@ class TestSynthScene:
         assert not np.array_equal(a.image.data, b.image.data)
 
     def test_frozen_scene_has_no_events(self):
-        scene = synth_scene(5, (64, 64), 3, noise_rate=0.0, window_us=20000,
-                            max_speed=0.0)
-        assert len(scene.events) == 0
+        objs = [SceneObject(10.0, 12.0, 8, 6, 0.0, 0.0, 1, (0.9, 0.9, 0.9)),
+                SceneObject(30.0, 40.0, 12, 9, 0.0, 0.0, 2, (0.1, 0.2, 0.3))]
+        t_us, x, y, p = motion_events(objs, (64, 64), duration_ms=20)
+        assert len(t_us) == len(x) == len(y) == len(p) == 0
 
     def test_noise_count_matches_rate(self):
-        scene = synth_scene(5, (64, 64), 1, noise_rate=2.0, window_us=20000,
-                            max_speed=0.0)
-        assert len(scene.events) == 40  # 2 events/ms * 20 ms
+        noisy = synth_scene(5, (64, 64), 1, noise_rate=2.0, window_us=20000)
+        clean = synth_scene(5, (64, 64), 1, noise_rate=0.0, window_us=20000)
+        assert len(noisy.events) - len(clean.events) == 40  # 2 events/ms * 20 ms
 
     def test_labels_and_image_ranges(self):
         scene = synth_scene(9, (64, 96), 3, 1.0, 30000)
@@ -70,13 +71,17 @@ class TestSynthScene:
             synth_scene(1, (32, 32), 0, 0.0, 20000)
 
 
+def motion(objects, dims, duration_ms):
+    return Events(*motion_events(objects, dims, duration_ms))
+
+
 class TestMotionEvents:
     def test_rightward_rectangle_closed_form(self):
         # brightness 0.9 rect on 0.5 background, 1 px/ms for 10 ms, far from
         # walls: each step exposes one column and covers another
         obj = SceneObject(x0=10.0, y0=20.0, width=6, height=8, vx=1.0, vy=0.0,
                           class_id=1, color=(0.9, 0.9, 0.9))
-        events = motion_events([obj], (64, 64), duration_ms=10)
+        events = motion([obj], (64, 64), duration_ms=10)
         assert len(events) == 2 * obj.height * 10
         pos = sum(1 for e in rows(events) if e.p == 1)
         neg = sum(1 for e in rows(events) if e.p == -1)
@@ -84,7 +89,7 @@ class TestMotionEvents:
 
     def test_polarity_sign_matches_brightness_change(self):
         bright = SceneObject(5.0, 5.0, 4, 4, 1.0, 0.0, 1, (0.9, 0.9, 0.9))
-        events = motion_events([bright], (64, 64), duration_ms=1)
+        events = motion([bright], (64, 64), duration_ms=1)
         leading = [e for e in rows(events) if e.p == 1]
         trailing = [e for e in rows(events) if e.p == -1]
         assert {e.x for e in leading} == {9}    # newly covered column: 6..9
@@ -93,12 +98,12 @@ class TestMotionEvents:
     def test_clamped_object_stops_emitting(self):
         obj = SceneObject(x0=58.0, y0=10.0, width=6, height=4, vx=1.0, vy=0.0,
                           class_id=1, color=(0.9, 0.9, 0.9))
-        events = motion_events([obj], (64, 64), duration_ms=10)
+        events = motion([obj], (64, 64), duration_ms=10)
         assert len(events) == 0  # starts pinned at the right wall
 
     def test_stamps_fall_inside_window(self):
         obj = SceneObject(10.0, 10.0, 4, 4, 1.0, 0.0, 1, (0.9, 0.9, 0.9))
-        events = motion_events([obj], (64, 64), duration_ms=5)
+        events = motion([obj], (64, 64), duration_ms=5)
         assert all(0 <= e.t_us < 5000 for e in rows(events))
 
     def test_events_match_direct_frame_differencing(self, rng):
@@ -112,7 +117,7 @@ class TestMotionEvents:
             SceneObject(30.0, 20.0, 10, 5, -0.9, 0.3, 2, (0.1, 0.2, 0.3)),
         ]
         duration = 12
-        events = motion_events(objs, (64, 64), duration)
+        events = motion(objs, (64, 64), duration)
         by_step = {}
         for e in rows(events):
             step = (e.t_us + 500) // 1000
