@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .encoding import encode
-from .events import EventParseError, parse_events, window
+from .events import parse_events, window
 from .network import (
     ConfigError, Model, NetworkConfig, TrainingDiverged, check_scene,
     encode_scene, load_config, metrics, train_toy,
@@ -228,7 +228,7 @@ def main(argv=None):
     except NonFiniteError as exc:
         print(f"non-finite value in the network: {exc}", file=sys.stderr)
         return 1
-    except (CliError, ConfigError, EventParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -125,10 +125,7 @@ def config_from_dict(raw):
     kwargs = {k: v for k, v in raw.items() if k not in ("toggles", "encoding")}
     kwargs.update((f"use_{k}", v) for k, v in _section(raw, "toggles", _TOGGLE_KEYS).items())
     kwargs.update(_section(raw, "encoding", _ENCODING_KEYS))
-    try:
-        return NetworkConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return NetworkConfig(**kwargs)
 
 
 def load_config(path):
@@ -336,7 +333,7 @@ def train_toy(scene, cfg, steps, lr):
             history.append(loss.item())
             for t, g in tape.backward(loss).items():
                 t.data = t.data - lr * g
-        except (FloatingPointError, ArithmeticError) as exc:
+        except ArithmeticError as exc:
             raise TrainingDiverged(step) from exc
     pred = predict(model, scene.image, encoded)
     miou, pa = metrics(pred, scene.labels, cfg.classes)

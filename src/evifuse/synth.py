@@ -6,7 +6,9 @@ brightness changes between consecutive frames emits one event (positive
 when brightening, negative when darkening), stamped at the step midpoint
 so every event falls strictly inside the generation window. Uniform noise
 events are mixed in at a fixed rate. Everything is a pure function of the
-seed.
+seed. One painter, ``render``, draws the brightness frames, the color image
+and the labels; one table, ``_META``, maps each meta-file key to its scene
+field and type for saving and loading.
 """
 
 from __future__ import annotations
@@ -69,39 +71,23 @@ def object_origin(obj, t_ms, dims):
     y = min(max(obj.y0 + obj.vy * t_ms, 0.0), h - obj.height)
     return int(np.floor(y + 0.5)), int(np.floor(x + 0.5))
 
-def render_brightness(objects, t_ms, dims):
-    h, w = dims
-    frame = np.full((h, w), BACKGROUND, dtype=np.float64)
+
+def render(objects, t_ms, frame, value):
+    """Paint ``value(obj)`` over each object's rectangle at time t, later objects
+    on top, into the caller's frame (``[..., H, W]``); returns the frame."""
     for obj in objects:
-        r, c = object_origin(obj, t_ms, dims)
-        frame[r : r + obj.height, c : c + obj.width] = obj.brightness
+        r, c = object_origin(obj, t_ms, frame.shape[-2:])
+        frame[..., r : r + obj.height, c : c + obj.width] = value(obj)
     return frame
-
-
-def render_color(objects, t_ms, dims):
-    h, w = dims
-    frame = np.full((3, h, w), BACKGROUND, dtype=np.float64)
-    for obj in objects:
-        r, c = object_origin(obj, t_ms, dims)
-        frame[:, r : r + obj.height, c : c + obj.width] = np.reshape(obj.color, (3, 1, 1))
-    return frame
-
-
-def render_labels(objects, t_ms, dims):
-    h, w = dims
-    labels = np.zeros((h, w), dtype=np.int64)
-    for obj in objects:
-        r, c = object_origin(obj, t_ms, dims)
-        labels[r : r + obj.height, c : c + obj.width] = obj.class_id
-    return labels
 
 
 def motion_events(objects, dims, duration_ms):
     """Frame-difference event columns (t_us, x, y, p), one pass per millisecond step."""
     steps = [(np.zeros(0, dtype=np.int64),) * 4]
-    prev = render_brightness(objects, 0, dims)
-    for t in range(1, duration_ms + 1):
-        cur = render_brightness(objects, t, dims)
+    frames = (render(objects, t, np.full(dims, BACKGROUND), lambda obj: obj.brightness)
+              for t in range(duration_ms + 1))
+    prev = next(frames)
+    for t, cur in enumerate(frames, 1):
         diff = cur - prev
         ys, xs = np.nonzero(diff)
         t_us = t * 1000 - 500  # step midpoint keeps stamps inside the window
@@ -145,10 +131,15 @@ def synth_scene(seed, dims, n_objects, noise_rate, window_us):
              rng.integers(0, h, size=n_noise), rng.choice(np.array([-1, 1]), size=n_noise))
     events = Events(*(np.concatenate(pair) for pair in zip(motion, noise)))
 
+    # float32 frames: class ids are exact, colors round as a float64 frame's cast would
+    image = render(objects, duration_ms, np.full((3, h, w), BACKGROUND, np.float32),
+                   lambda obj: np.reshape(obj.color, (3, 1, 1)))
+    labels = render(objects, duration_ms, np.zeros((h, w), np.float32),
+                    lambda obj: obj.class_id)
     return SyntheticScene(
         events=events,
-        image=Tensor(render_color(objects, duration_ms, (h, w)).astype(np.float32)),
-        labels=Tensor(render_labels(objects, duration_ms, (h, w)).astype(np.float32)),
+        image=Tensor(image),
+        labels=Tensor(labels),
         class_count=n_objects + 1,
         height=h,
         width=w,
@@ -163,58 +154,51 @@ def synth_scene(seed, dims, n_objects, noise_rate, window_us):
 # scene directory IO: events.csv, image.eift, labels.eift, meta
 
 
+class SceneFormatError(ValueError):
+    """A meta key is missing or malformed, or the image or labels do not fit the meta."""
+
+
+# meta key -> (SyntheticScene field, type), in the order the meta file lists them
+_META = {
+    "height": ("height", int), "width": ("width", int), "seed": ("seed", int),
+    "classes": ("class_count", int), "objects": ("n_objects", int),
+    "noise_rate": ("noise_rate", float), "window_us": ("window_us", int),
+}
+
+
 def save_scene(directory, scene):
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "events.csv"), "w") as fh:
         fh.write(serialize_events(scene.events))
     write_tensor(os.path.join(directory, "image.eift"), scene.image)
     write_tensor(os.path.join(directory, "labels.eift"), scene.labels)
-    meta = {
-        "height": scene.height,
-        "width": scene.width,
-        "seed": scene.seed,
-        "classes": scene.class_count,
-        "objects": scene.n_objects,
-        "noise_rate": scene.noise_rate,
-        "window_us": scene.window_us,
-    }
     with open(os.path.join(directory, "meta"), "w") as fh:
-        for key, value in meta.items():
-            fh.write(f"{key}={value}\n")
-
-
-class SceneFormatError(ValueError):
-    """A meta key is missing or malformed, or the image or labels do not fit the meta."""
-
-
-_META_TYPES = {
-    "height": int, "width": int, "classes": int, "window_us": int,
-    "seed": int, "objects": int, "noise_rate": float,
-}
+        fh.writelines(f"{key}={getattr(scene, field)}\n" for key, (field, _) in _META.items())
 
 
 def _read_meta(path):
+    """SyntheticScene field values parsed from a meta file; errors name the meta key."""
     try:
         with open(path, encoding="utf-8") as fh:
             pairs = (line.strip().partition("=") for line in fh if line.strip())
             raw = {key: value for key, _, value in pairs}
     except UnicodeDecodeError as exc:
         raise SceneFormatError(f"{path}: not a text file ({exc.reason})") from None
-    meta = {}
-    for key, kind in _META_TYPES.items():
+    fields = {}
+    for key, (field, kind) in _META.items():
         if key not in raw:
             raise SceneFormatError(f"{path}: missing key {key!r}")
         try:
-            meta[key] = kind(raw[key])
+            fields[field] = kind(raw[key])
         except ValueError:
             raise SceneFormatError(
                 f"{path}: key {key!r} has malformed value {raw[key]!r}") from None
-    return meta
+    return fields
 
 
 def load_scene(directory):
     meta = _read_meta(os.path.join(directory, "meta"))
-    height, width, classes = meta["height"], meta["width"], meta["classes"]
+    height, width, classes = meta["height"], meta["width"], meta["class_count"]
     with open(os.path.join(directory, "events.csv")) as fh:
         events = parse_events(fh, (height, width))
     image = read_tensor(os.path.join(directory, "image.eift"))
@@ -226,15 +210,4 @@ def load_scene(directory):
     ids = labels.data
     if not ((ids == np.floor(ids)) & (ids >= 0) & (ids < classes)).all():
         raise SceneFormatError(f"{directory}: labels are not class ids in [0, {classes})")
-    return SyntheticScene(
-        events=events,
-        image=image,
-        labels=labels,
-        class_count=classes,
-        height=height,
-        width=width,
-        window_us=meta["window_us"],
-        seed=meta["seed"],
-        n_objects=meta["objects"],
-        noise_rate=meta["noise_rate"],
-    )
+    return SyntheticScene(events=events, image=image, labels=labels, **meta)

@@ -20,7 +20,6 @@ inputs cannot give them a non-finite output.
 from __future__ import annotations
 
 import contextvars
-import math
 
 import numpy as np
 
@@ -46,11 +45,10 @@ def _float_array(data, dtype=None):
 
 
 def _check_finite(arr):
-    # a non-finite entry makes the sum, taken in the array's own dtype,
-    # non-finite; a finite array whose sum overflows passes the exact check
-    if not math.isfinite(np.add.reduce(arr, None)):
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError("tensor holds NaN/Inf values")
+    # runs on every op: an entry-wise test warns on no overflow, unlike a sum,
+    # and the bare reduce skips ndarray.all's Python-level wrapper
+    if not np.logical_and.reduce(np.isfinite(arr), None):
+        raise NonFiniteError("tensor holds NaN/Inf values")
 
 
 class Tensor:

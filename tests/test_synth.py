@@ -1,5 +1,7 @@
 """Synthetic scene generator: determinism, event physics, directory IO."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,8 +112,6 @@ class TestMotionEvents:
         # every emitted event must correspond to a brightness change between
         # the two frames around its step, with matching sign, and every
         # changed pixel must emit exactly one event
-        from evifuse.synth import render_brightness
-
         objs = [
             SceneObject(8.0, 12.0, 6, 9, 0.7, -0.4, 1, (0.9, 0.8, 0.7)),
             SceneObject(30.0, 20.0, 10, 5, -0.9, 0.3, 2, (0.1, 0.2, 0.3)),
@@ -123,8 +123,8 @@ class TestMotionEvents:
             step = (e.t_us + 500) // 1000
             by_step.setdefault(step, set()).add((e.y, e.x, e.p))
         for step in range(1, duration + 1):
-            prev = render_brightness(objs, step - 1, (64, 64))
-            cur = render_brightness(objs, step, (64, 64))
+            prev, cur = (synth.render(objs, t, np.full((64, 64), synth.BACKGROUND),
+                                      lambda obj: obj.brightness) for t in (step - 1, step))
             diff = cur - prev
             ys, xs = np.nonzero(diff)
             expected = {(y, x, 1 if diff[y, x] > 0 else -1)
@@ -142,8 +142,9 @@ class TestSceneIO:
         assert rows(back.events) == rows(scene.events)
         assert np.array_equal(back.image.data, scene.image.data)
         assert np.array_equal(back.labels.data, scene.labels.data)
-        assert back.class_count == scene.class_count
-        assert back.window_us == scene.window_us
+        for field in ("height", "width", "seed", "class_count", "n_objects",
+                      "noise_rate", "window_us"):
+            assert getattr(back, field) == getattr(scene, field), field
 
     @pytest.mark.parametrize("key", ["height", "width", "classes", "window_us",
                                      "seed", "objects", "noise_rate"])
@@ -200,7 +201,7 @@ class TestSceneIO:
 # meta texts: key=value lines (values valid or not, keys repeated or missing)
 # mixed with arbitrary text lines
 _META_LINE = st.one_of(
-    st.builds("{}={}".format, st.sampled_from(sorted(synth._META_TYPES) + ["extra", ""]),
+    st.builds("{}={}".format, st.sampled_from(sorted(synth._META) + ["extra", ""]),
               st.one_of(st.integers(-5, 10**6).map(str), st.sampled_from([
                   "", "x", "1.5", "1e3", " 7 ", "nan", "-inf", "0x10", "1_0", "\u0661\u0662",
                   "9" * 5000, "=", "3=4",
@@ -217,8 +218,8 @@ class TestMetaFuzz:
             meta = synth._read_meta(path)
         except SceneFormatError:
             return
-        assert sorted(meta) == sorted(synth._META_TYPES)
-        assert all(type(meta[key]) is kind for key, kind in synth._META_TYPES.items())
+        assert sorted(meta) == sorted(field for field, _ in synth._META.values())
+        assert all(type(meta[field]) is kind for field, kind in synth._META.values())
 
     @settings(max_examples=400, deadline=None)
     @given(_META_TEXT)
@@ -235,10 +236,54 @@ class TestMetaFuzz:
     def test_saved_meta_loads(self, tmp_path):
         save_scene(tmp_path, synth_scene(4, (32, 32), 1, 0.5, 10000))
         assert synth._read_meta(tmp_path / "meta") == {
-            "height": 32, "width": 32, "classes": 2, "window_us": 10000,
-            "seed": 4, "objects": 1, "noise_rate": 0.5}
+            "height": 32, "width": 32, "class_count": 2, "window_us": 10000,
+            "seed": 4, "n_objects": 1, "noise_rate": 0.5}
 
     def test_undecodable_meta_is_format_error(self, tmp_path):
         (tmp_path / "meta").write_bytes(b"height=32\nwidth=\xff\xfe\n")
         with pytest.raises(SceneFormatError, match="not a text file"):
             synth._read_meta(tmp_path / "meta")
+
+
+# sha256 over each scene's arrays, its saved files and its reloaded meta
+# fields, for the benchmark's train and infer scene shapes and one non-square
+# size: a change to scene bytes or to the directory format fails here
+_GOLDEN_CONFIGS = {
+    "train": dict(dims=(64, 64), n_objects=2, noise_rate=0.5, window_us=50_000),
+    "infer": dict(dims=(128, 128), n_objects=3, noise_rate=2.0, window_us=50_000),
+    "wide": dict(dims=(32, 96), n_objects=2, noise_rate=1.0, window_us=30_000),
+}
+_GOLDEN_SEEDS = (0, 1, 2)
+_GOLDEN = {
+    "infer": ["04ab4c0cb3fdc0cb0c6b8edfb156910f5272881a293f1400efa8ee1c5e703063",
+              "d64b1e7d9c3e4cadb66568d6d63d27ccb4133379e421373856b37e5c9c9c2e13",
+              "ad9353fa3afce25ebf08fa235db936680b98eed8b751547c009daa396a916e37"],
+    "train": ["aa6cc49abb8dc780bbd5ed5151d38d356f933516d3c2ce72a8a6bfa747b90278",
+              "5d3c52d9fe13c39321fa516e9e921cc1bc984933904b2aa441d97fc815caee2c",
+              "3e470497009420b07343f5d7dd88d4da3d21dc14d8db5ac4731a3895097c6fe9"],
+    "wide": ["f75f46723ce7f7f88766da7902fc2a0e44a8bd9d732c44e5268a999e43f2fe32",
+             "164491c1601fad11d2069a33e5572738f102ea11e2bc044e87d7914b73af6180",
+             "aa6134a82e56abb24a80b76915c682f3ed1815b5a18a474d5a7c06526524162c"],
+}
+
+
+def _scene_digest(scene, directory):
+    h = hashlib.sha256()
+    for arr in (scene.image.data, scene.labels.data, scene.events.t_us,
+                scene.events.x, scene.events.y, scene.events.p):
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    save_scene(directory, scene)
+    for name in ("events.csv", "image.eift", "labels.eift", "meta"):
+        h.update((directory / name).read_bytes())
+    back = load_scene(directory)
+    h.update(repr([back.height, back.width, back.seed, back.class_count,
+                   back.n_objects, back.noise_rate, back.window_us]).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CONFIGS))
+def test_golden_scene_digests(tmp_path, name):
+    digests = [_scene_digest(synth_scene(seed, **_GOLDEN_CONFIGS[name]), tmp_path / str(seed))
+               for seed in _GOLDEN_SEEDS]
+    assert digests == _GOLDEN[name]

@@ -30,10 +30,14 @@ class TestTensorBasics:
                     Tensor(np.array(bad, dtype=dtype))
 
     def test_float32_whose_sum_overflows_is_finite(self):
-        # the float32 sum is Inf, so the exact per-entry check decides
-        with np.errstate(over="ignore"):
-            x = Tensor(np.array([3e38, 3e38], dtype=np.float32))
+        # the float32 sum is Inf, yet every entry is finite: no NonFiniteError
+        # and no overflow warning (the suite turns that warning into an error)
+        x = Tensor(np.array([3e38, 3e38], dtype=np.float32))
         assert x.data.dtype == np.float32
+
+    def test_float64_whose_sum_overflows_is_finite(self):
+        x = Tensor(np.array([1.7e308, 1.7e308]))
+        assert x.data.dtype == np.float64
 
     def test_rejects_empty(self):
         with pytest.raises(ShapeError):
