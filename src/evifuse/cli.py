@@ -15,8 +15,8 @@ import numpy as np
 from .encoding import encode
 from .events import parse_events, window
 from .network import (
-    ConfigError, Model, NetworkConfig, TrainingDiverged, check_scene,
-    encode_scene, load_config, metrics, train_toy,
+    Model, NetworkConfig, TrainingDiverged, check_scene, encode_scene,
+    load_config, metrics, train_toy,
 )
 from .synth import load_scene, save_scene, synth_scene
 from .tensor import NonFiniteError, Tensor
@@ -24,16 +24,12 @@ from .tensorio import write_tensor
 from .verify import CLI_CHOICES, TOLERANCE, run_checks
 
 
-class CliError(ValueError):
-    pass
-
-
 def _parse_dims(text):
     try:
         h, w = text.lower().split("x")
         return int(h), int(w)
     except ValueError:
-        raise CliError(f"dims must look like 64x64, got {text!r}") from None
+        raise ValueError(f"dims must look like 64x64, got {text!r}") from None
 
 
 def _load_events(path, dims):
@@ -127,12 +123,10 @@ def _mark(flag):
 
 def cmd_sweep_duration(args):
     cfg = load_config(args.config) if args.config else NetworkConfig()
-    dims = _parse_dims(args.dims)
-    if dims != (cfg.height, cfg.width):
-        raise ConfigError(f"dims {dims} != config {cfg.height}x{cfg.width}")
+    dims = (cfg.height, cfg.width)
     durations = [int(d) for d in args.durations.split(",") if d]
     if not durations:
-        raise CliError("need at least one duration")
+        raise ValueError("need at least one duration")
     events = _load_events(args.events, dims)
     model = Model(cfg)
     # no labeled frame in this mode; drive the image branch with neutral gray
@@ -206,10 +200,10 @@ def build_parser():
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("sweep-duration",
-                       help="re-window one stream at several durations")
+                       help="re-window one stream at several durations; the "
+                            "sensor size is the config's height x width")
     p.add_argument("--config")
     p.add_argument("--events", required=True)
-    p.add_argument("--dims", required=True)
     p.add_argument("--t-end", type=int, required=True, dest="t_end")
     p.add_argument("--durations", default="10000,50000,250000")
     p.add_argument("--out-dir", default=".", dest="out_dir")

@@ -329,7 +329,7 @@ def train_toy(scene, cfg, steps, lr):
         try:
             with Tape() as tape:
                 logits = model.forward_encoded(scene.image, encoded)
-                loss = loss_ce(logits, scene.labels)
+                loss = ops.cross_entropy(logits, scene.labels)
             history.append(loss.item())
             for t, g in tape.backward(loss).items():
                 t.data = t.data - lr * g

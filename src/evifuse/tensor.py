@@ -77,6 +77,9 @@ class Tensor:
         return self.data.dtype
 
     def item(self):
+        """The value of a one-value tensor as a Python float; ShapeError otherwise."""
+        if self.data.size != 1:
+            raise ShapeError(f"item() needs a one-value tensor, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
@@ -137,7 +140,11 @@ class Tape:
         self._consumed = True
         # every record pops its own output, so the entries left are the leaves
         adjoint = {output: np.ones_like(output.data)} if output.requires_grad else {}
-        for out, inputs, backward_fn in reversed(self._records):
+        records = self._records
+        for i in range(len(records) - 1, -1, -1):
+            # a replayed record is released, and with it the arrays it saved
+            out, inputs, backward_fn = records[i]
+            records[i] = None
             g = adjoint.pop(out, None)
             if g is None:
                 continue  # this record does not feed the requested output

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import ops
 from .fusion import fusion_forward, init_fusion_params
 from .gradcheck import check_input, check_param
 from .network import (
-    Model, NetworkConfig, decode, encode_stages, init_decoder_params,
-    init_encoder_params, loss_ce,
+    Model, NetworkConfig, decode, encode_stages, init_decoder_params, init_encoder_params,
 )
 from .params import ParamStore, make_rng
 from .recalibrate import init_recal_params, recalibrate
@@ -160,7 +160,7 @@ def network_case(seed):
 
     def forward():
         logits = model.forward(image, e_vt, a_cm)
-        return loss_ce(logits, labels) * OBJECTIVE_SCALE
+        return ops.cross_entropy(logits, labels) * OBJECTIVE_SCALE
 
     return forward, model.store, [("image", image), ("e_vt", e_vt), ("a_cm", a_cm)]
 

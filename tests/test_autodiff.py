@@ -1,6 +1,7 @@
 """Tape semantics and finite-difference verification of every adjoint."""
 
 import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -50,6 +51,19 @@ class TestTapeSemantics:
         tape.backward(y)
         with pytest.raises(TapeConsumedError):
             tape.backward(y)
+
+    def test_backward_releases_replayed_records(self, rng):
+        x = t64(rng.standard_normal(4), requires_grad=True)
+        with Tape() as tape:
+            h = ops.sigmoid(x)
+            y = tsum(h * h)
+        held = weakref.ref(h.data)
+        del h  # from here only the tape's records hold the intermediate
+        assert held() is not None
+        grads = tape.backward(y)
+        assert held() is None
+        assert len(tape) == 3  # still the number of records made
+        assert grads[x].shape == (4,)
 
     def test_unused_input_gets_zero_gradient(self, rng):
         x = t64(rng.standard_normal(3), requires_grad=True)

@@ -13,6 +13,8 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,8 @@ from evifuse.encoding import EncodedEvents
 from evifuse.events import EventWindow
 from evifuse.params import ParamStore
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 HARNESS_SOURCES = ("workloads.py", "record.py")
 
 
@@ -146,3 +149,25 @@ def test_check_input_probes_run_under_check_param():
         tracing.uninstall(undo)
     assert tracer.calls["gradcheck.check_param"] == 1
     assert tracer.counts["gradcheck.probes"] == 1 + 2 * e_vt.size
+
+
+def readme_imports():
+    """Names the README's *Library use* example imports from the package."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return {alias.name for node in ast.walk(ast.parse(code))
+            if isinstance(node, ast.ImportFrom) and node.module == "evifuse"
+            for alias in node.names}
+
+
+def test_top_level_holds_only_the_names_callers_import():
+    # one route to each name: a stage function or helper is reached through
+    # its own module, not also through the package
+    public = {name: value for name, value in vars(evifuse).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    imported = readme_imports() | {dotted.split(".")[0] for _, _, dotted, _ in harness_uses()}
+    extra = sorted(name for name, value in public.items() if name not in imported
+                   and not (isinstance(value, type) and issubclass(value, Exception)))
+    assert not extra, f"top-level names no caller imports: {extra}"
+    assert {"NetworkConfig", "Model", "Tape", "train_toy"} <= readme_imports()

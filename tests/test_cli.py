@@ -367,7 +367,7 @@ class TestSweepDuration:
                                              tmp_path, capsys):
         events = f"{scene_dir}/events.csv"
         rc = main(["sweep-duration", "--config", small_config,
-                   "--events", events, "--dims", "32x32", "--t-end", "20000",
+                   "--events", events, "--t-end", "20000",
                    "--durations", "2000,10000,20000",
                    "--out-dir", str(tmp_path)])
         assert rc == 0
@@ -377,6 +377,34 @@ class TestSweepDuration:
             shapes.add(t.shape)
             assert np.isfinite(t.data).all()
         assert shapes == {(1, 3, 32, 32)}
+
+    def test_event_off_the_config_sensor_exits_2_naming_the_line(self, small_config,
+                                                                 tmp_path, capsys):
+        # the sensor is the config's 32x32, so x=40 on line 2 is off it
+        events = tmp_path / "wide.csv"
+        events.write_text("10,1,1,1\n20,40,1,0\n")
+        rc = main(["sweep-duration", "--config", small_config, "--events", str(events),
+                   "--t-end", "100", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "x=40" in err
+        assert "Traceback" not in err
+
+    def test_dims_flag_rejected(self, small_config, tmp_path, capsys):
+        # the config's height and width are the sensor size; no second source
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-duration", "--config", small_config,
+                  "--events", str(tmp_path / "events.csv"), "--dims", "32x32",
+                  "--t-end", "20000", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--dims" in capsys.readouterr().err
+
+    def test_empty_durations_exit_2(self, small_config, scene_dir, tmp_path, capsys):
+        rc = main(["sweep-duration", "--config", small_config,
+                   "--events", f"{scene_dir}/events.csv", "--t-end", "20000",
+                   "--durations", ",", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "need at least one duration" in capsys.readouterr().err
 
 
 class TestConsoleScript:

@@ -84,7 +84,7 @@ def _run_entry_points(tmp):
         (["train-toy", *small, "--scene", scene, "--steps", "2", "--lr", "1e30",
           "--out", str(tmp / "diverged.csv")], 1),
         (["ablate", *small, "--scene", scene, "--steps", "1"], 0),
-        (["sweep-duration", *small, "--events", events, "--dims", "32x32",
+        (["sweep-duration", *small, "--events", events,
           "--t-end", "20000", "--durations", "5000,20000", "--out-dir", str(tmp)], 0),
     ]
     for argv, code in runs:

@@ -39,6 +39,11 @@ class TestTensorBasics:
         x = Tensor(np.array([1.7e308, 1.7e308]))
         assert x.data.dtype == np.float64
 
+    def test_item_reads_a_one_value_tensor(self):
+        assert t([[2.5]]).item() == 2.5
+        with pytest.raises(ShapeError):
+            t([1.0, 2.0]).item()
+
     def test_rejects_empty(self):
         with pytest.raises(ShapeError):
             Tensor(np.zeros((0, 3)))
