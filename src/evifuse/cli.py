@@ -121,12 +121,27 @@ def _mark(flag):
     return "on" if flag else "off"
 
 
+def _parse_durations(text):
+    """--durations as positive microsecond counts; empty entries are skipped."""
+    items = [d for d in text.split(",") if d]
+    if not items:
+        raise ValueError("--durations: need at least one duration")
+    for item in items:
+        try:
+            positive = int(item) > 0
+        except ValueError:
+            positive = False
+        if not positive:
+            raise ValueError(f"--durations takes positive integers (microseconds), "
+                             f"got {item!r}")
+    return [int(d) for d in items]
+
+
 def cmd_sweep_duration(args):
     cfg = load_config(args.config) if args.config else NetworkConfig()
     dims = (cfg.height, cfg.width)
-    durations = [int(d) for d in args.durations.split(",") if d]
-    if not durations:
-        raise ValueError("need at least one duration")
+    # every entry is checked before the first window is written
+    durations = _parse_durations(args.durations)
     events = _load_events(args.events, dims)
     model = Model(cfg)
     # no labeled frame in this mode; drive the image branch with neutral gray

@@ -20,7 +20,12 @@ Conventions fixed here:
     them; its one record reads the heads as a numpy view of the map's
     tokens and writes its result the same way. It walks query blocks and
     recomputes probabilities in backward (FlashAttention, Dao et al. 2022);
-    the queries are scaled by 1/sqrt(d) once, before the score GEMMs
+    the queries are scaled by 1/sqrt(d) once, before the score GEMMs.
+    A branch whose Cauchy-Schwarz score bound (largest query row norm times
+    largest key row norm) stays below ln(finfo.max)/2 takes exp of its raw
+    scores; any other branch subtracts the row max first, and that row max
+    is its finiteness check. The row sums are a GEMV of each block of
+    exp-scores with a ones vector, beside the P.V GEMM
 """
 
 from __future__ import annotations
@@ -366,21 +371,47 @@ def _block_rows(batch_heads, keys, itemsize):
     return max(1, _ATTN_BLOCK_BYTES // (batch_heads * keys * itemsize))
 
 
-def _exp_scores(q, kt, rowmax=None):
-    """exp(q.k^T - rowmax) for one block of pre-scaled queries, plus the row max.
+def _shift_free(qs, ks, v):
+    """Per branch, whether exp may take the raw scores, with no row-max shift.
 
-    The row max (and the block min) double as the finiteness check of the
-    scores: a NaN row has a NaN max, +Inf shows in the max, -Inf in the
-    min. With ``rowmax`` given (backward) the scores were checked already.
+    By Cauchy-Schwarz no score exceeds the largest row norm of the
+    pre-scaled queries times the largest row norm of the keys, an O(N*d)
+    bound. Below limit = ln(finfo.max) / 2 (44.4 in float32, 354.9 in
+    float64) the scores are finite and every exp(score) is a normal float
+    within exp(+-limit): a row sum of fewer than exp(limit) keys cannot
+    overflow nor reach zero, and while Nk * max|v| stays under exp(limit)
+    neither can a numerator e.v. A NaN or Inf operand gives a NaN or Inf
+    bound and so the shifted path, whose row max is the finiteness check.
     """
-    s = np.matmul(q, kt)
-    if rowmax is None:
-        rowmax = s.max(axis=-1, keepdims=True)
-        if not (np.isfinite(rowmax).all() and math.isfinite(s.min())):
-            raise NonFiniteError("attention scores hold NaN/Inf values")
-    s -= rowmax
+    limit = 0.5 * math.log(np.finfo(np.result_type(*qs, *ks, v)).max)
+    if not v.shape[-2] * float(np.abs(v).max()) < math.exp(limit):
+        return [False] * len(qs)
+    # a square too large for the dtype reads inf, quietly, and fails the
+    # test; so does the product, of Python floats, which overflow silently
+    with np.errstate(over="ignore"):
+        return [math.sqrt(float(np.einsum("...i,...i->...", q, q).max())
+                          * float(np.einsum("...i,...i->...", k, k).max())) < limit
+                for q, k in zip(qs, ks)]
+
+
+def _exp_scores(q, kt, rowmax, blk, fill):
+    """exp(q[blk].k^T - rowmax[blk]) for one block of pre-scaled queries.
+
+    ``rowmax`` is None for a branch that needs no shift (_shift_free);
+    exp then takes the raw scores. Otherwise it holds the branch's row
+    maxima: forward (``fill``) writes the block's rows, and with a block
+    min they serve as the finiteness check of the scores (a NaN row has a
+    NaN max, +Inf shows in the max, -Inf in the min); backward reads them.
+    """
+    s = np.matmul(q[blk], kt)
+    if rowmax is not None:
+        if fill:
+            rowmax[blk] = s.max(axis=-1, keepdims=True)
+            if not (np.isfinite(rowmax[blk]).all() and math.isfinite(s.min())):
+                raise NonFiniteError("attention scores hold NaN/Inf values")
+        s -= rowmax[blk]
     np.exp(s, out=s)
-    return s, rowmax
+    return s
 
 
 def _check_heads(q, k, v, heads):
@@ -410,10 +441,13 @@ def _attention(qs, ks, v, coef):
 
     ``coef`` holds one factor per branch: 1.0 for the first, a float or an
     array broadcasting against [B,h,1,1] for the others. Returns the output
-    data and the adjoint. The adjoint recomputes each block's probabilities
-    from the saved row max and row sum, so only O(N*d) arrays outlive the
-    forward pass; it returns the per-branch query and key gradients, the
-    value gradient and each branch's rowsum(g * softmax . v).
+    data and the adjoint. Each branch shifts its scores by the row max only
+    where its score bound requires it (_shift_free); a block's numerators
+    are the GEMM of its exp-scores with v, and its row sums their product
+    with a ones vector. The adjoint recomputes each block's probabilities
+    the same way from the saved row sums (and row maxima), so only O(N*d)
+    arrays outlive the forward pass; it returns the per-branch query and key
+    gradients, the value gradient and each branch's rowsum(g * softmax . v).
     """
     b, h, n, d = qs[0].shape
     nk, dv = v.shape[2:]
@@ -424,15 +458,22 @@ def _attention(qs, ks, v, coef):
     # a contiguous k^T keeps the block score GEMM off a transposed operand
     qs = [q * scale for q in qs]
     kts = [np.ascontiguousarray(np.swapaxes(k, -1, -2)) for k in ks]
+    maxs = [None if free else np.empty((b, h, n, 1), dtype=dtype)
+            for free in _shift_free(qs, ks, v)]
     outs = [np.empty((b, h, n, dv), dtype=dtype) for _ in qs]
-    maxs = [np.empty((b, h, n, 1), dtype=dtype) for _ in qs]
-    sums = [np.empty((b, h, n, 1), dtype=dtype) for _ in qs]
+    sums = [np.empty((b, h, n), dtype=dtype) for _ in qs]
+    # row sums as a GEMV: cheaper than ndarray.sum, and than a ones column
+    # appended to v, which slows the P.V GEMM and rounds it worse
+    ones = np.ones(nk, dtype=dtype)
     for r0 in range(0, n, rows):
         blk = np.s_[..., r0:r0 + rows, :]
-        for q, kt, o, m, z in zip(qs, kts, outs, maxs, sums):
-            e, m[blk] = _exp_scores(q[blk], kt)
-            z[blk] = e.sum(axis=-1, keepdims=True)
-            o[blk] = np.matmul(e, v) / z[blk]
+        for q, kt, m, o, z in zip(qs, kts, maxs, outs, sums):
+            e = _exp_scores(q, kt, m, blk, True)
+            np.matmul(e, v, out=o[blk])
+            np.matmul(e, ones, out=z[..., r0:r0 + rows])
+    sums = [z[..., None] for z in sums]
+    for o, z in zip(outs, sums):
+        o /= z
     out = outs[0]
     for c, o in zip(coef[1:], outs[1:]):
         out = out + c * o
@@ -450,7 +491,7 @@ def _attention(qs, ks, v, coef):
             gp = np.matmul(gb, vt)
             for q, k, kt, m, z, c, dot, gq, gk in zip(
                     qs, ks, kts, maxs, sums, coef, dots, gqs, gks):
-                p, _ = _exp_scores(q[blk], kt, m[blk])
+                p = _exp_scores(q, kt, m, blk, False)
                 p /= z[blk]
                 gv += c * np.matmul(np.swapaxes(p, -1, -2), gb)
                 p *= gp - dot[blk]

@@ -406,6 +406,21 @@ class TestSweepDuration:
         assert rc == 2
         assert "need at least one duration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("durations", ["10000,0", "10000,abc", "10000,-5",
+                                           "10000,2.5"])
+    def test_bad_duration_exits_2_before_any_window(self, durations, small_config,
+                                                    scene_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["sweep-duration", "--config", small_config,
+                   "--events", f"{scene_dir}/events.csv", "--t-end", "20000",
+                   "--durations", durations, "--out-dir", str(out)])
+        assert rc == 2
+        assert list(out.iterdir()) == []
+        err = capsys.readouterr().err
+        assert "--durations" in err and repr(durations.split(",")[1]) in err
+        assert "Traceback" not in err
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):

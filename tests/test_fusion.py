@@ -257,6 +257,135 @@ class TestFusedDiffAttention:
             ops.diff_attention(q1, q2, k1, Tensor(k2.data[:, :2]), v, lam)
 
 
+def _gradients(op, inputs, probe):
+    """The gradient of sum(op(*inputs) * probe) for each input."""
+    with Tape() as tape:
+        total = tsum(op(*inputs) * Tensor(probe))
+    grads = tape.backward(total)
+    return [grads[t] for t in inputs]
+
+
+def _softmax_products(q, k, v):
+    """float64 softmax(q.k^T/sqrt(d)) . v and the same weights applied to |v|."""
+    s = np.matmul(q, np.swapaxes(k, -1, -2)) / np.sqrt(q.shape[-1])
+    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    return np.matmul(p, v), np.matmul(p, np.abs(v))
+
+
+def _near_bound(rng, b, h, n, nk, d, target):
+    """q [B,h,N,d] and k [B,h,Nk,d] whose kernel score bound is ``target``.
+
+    Every row has norm r with r*r/sqrt(d) = target, the bound the kernels
+    compute from the pre-scaled queries. All rows lie near one direction,
+    the query rows with alternating signs, so every score is close to
+    +target or -target and each softmax row stays smooth.
+    """
+    u = rng.standard_normal(d)
+
+    def rows(count, signs):
+        x = u + 0.05 * np.linalg.norm(u) * rng.standard_normal((b, h, count, d))
+        x *= signs[:, None] / np.linalg.norm(x, axis=-1, keepdims=True)
+        return x * np.sqrt(target * np.sqrt(d))
+
+    return rows(n, np.resize([1.0, -1.0], n)), rows(nk, np.ones(nk))
+
+
+class TestShiftFreeKernel:
+    """The kernels' two paths: exp of the raw scores under the Cauchy-Schwarz
+    bound, the row-max shift above it."""
+
+    def test_float32_stage0_shape_against_float64_oracle(self, shift_free_calls):
+        # the 128x128 stage-0 call: 1024 tokens, 2 heads of 8. Correlated
+        # branches and lam near 1 make o1 - lam*o2 cancel, and o1 is itself
+        # a sum of signed terms, so the error is bounded by the scale of
+        # the terms before any cancellation, softmax . |v| per branch, not
+        # by |out| or |o1|, which come near zero in places
+        rng = np.random.default_rng(20)
+        shape = (1, 2, 1024, 8)
+        q1, k1, v = (rng.standard_normal(shape) for _ in range(3))
+        q2 = q1 + 0.1 * rng.standard_normal(shape)
+        k2 = k1 + 0.1 * rng.standard_normal(shape)
+        arrays = [a.astype(np.float32) for a in (q1, q2, k1, k2, v, np.array([0.8, 0.95]))]
+        q1, q2, k1, k2, v, lam = arrays
+        got = ops.diff_attention(*_as_maps(arrays)).data
+        core = ops.attention_core(*(Tensor(_as_map(a)) for a in (q1, k1, v)), 2).data
+        assert shift_free_calls == [[True, True], [True]]
+
+        v64, lam64 = v.astype(np.float64), lam.astype(np.float64).reshape(1, 2, 1, 1)
+        (o1, s1), (o2, s2) = (_softmax_products(q.astype(np.float64), k.astype(np.float64), v64)
+                              for q, k in ((q1, k1), (q2, k2)))
+        err = np.abs(got - _as_map(o1 - lam64 * o2)) / _as_map(s1 + lam64 * s2)
+        assert err.max() < 1e-6
+        assert (np.abs(core - _as_map(o1)) / _as_map(s1)).max() < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("side", [0.98, 1.02])
+    def test_paths_agree_across_the_limit(self, dtype, side, shift_free_calls):
+        # scores near +-limit, where exp of a raw score is largest and
+        # smallest: under the limit both kernels take the raw exp, over it
+        # the row-max shift, and either way they match the loop oracles
+        limit = 0.5 * np.log(np.finfo(dtype).max)
+        b, h, n, nk, d = 1, 2, 5, 4, 3
+        rng = np.random.default_rng(int(side * 100) + np.dtype(dtype).itemsize)
+        q1, k1 = _near_bound(rng, b, h, n, nk, d, side * limit)
+        q2, k2 = _near_bound(rng, b, h, n, nk, d, side * limit)
+        v = rng.standard_normal((b, h, nk, d))
+        arrays = [a.astype(dtype) for a in (q1, q2, k1, k2, v, np.array([0.8, 0.6]))]
+        q1, _, k1, _, v, _ = arrays
+        diff = ops.diff_attention(*_as_maps(arrays)).data
+        core = ops.attention_core(*(Tensor(_as_map(a)) for a in (q1, k1, v)), h).data
+        assert shift_free_calls == [[side < 1] * 2, [side < 1]]
+        atol = 1e-4 if dtype == np.float32 else 1e-10
+        np.testing.assert_allclose(
+            diff, _as_map(differential_attention_naive(*arrays)), rtol=0, atol=atol)
+        np.testing.assert_allclose(core, _as_map(attention_naive(q1, k1, v)),
+                                   rtol=0, atol=atol)
+
+        probe = rng.standard_normal((b, h, n, d))
+        exact = [a.astype(np.float64) for a in arrays]
+        if dtype == np.float32:
+            # the gradients against the float64 kernel's on the same values
+            grads = [_gradients(ops.diff_attention, _as_maps([a.astype(t) for a in exact], True),
+                                _as_map(probe).astype(t)) for t in (np.float64, np.float32)]
+            for g64, g32 in zip(*grads):
+                np.testing.assert_allclose(g32, g64, rtol=0, atol=2e-3 * np.abs(g64).max())
+            return
+        # scores of +-355 carry about 355 * eps of rounding, which the fixed
+        # 1e-6 step turns into derivative noise near 1e-7, so small entries
+        # cannot reach 1e-6 relative (the kernel before the bound read up
+        # to 3.6e-6 here): central differences at 1e-5, and the unfused tape
+        # composition, which shifts, within rounding
+        inputs = _as_maps(exact, True)
+        for t in inputs:
+            assert check_param(
+                lambda: tsum(ops.diff_attention(*inputs) * Tensor(_as_map(probe))), t) < 1e-5
+        inputs = [Tensor(_as_map(a), requires_grad=True) for a in (q1, k1, v)]
+        for t in inputs:
+            assert check_param(
+                lambda: tsum(ops.attention_core(*inputs, h) * Tensor(_as_map(probe))), t) < 1e-5
+        fused = _gradients(ops.diff_attention, _as_maps(exact, True), _as_map(probe))
+        composed = _gradients(_composed_diff_attention,
+                              [Tensor(a, requires_grad=True) for a in exact], probe)
+        for gf, gc in zip(fused, [_as_map(g) for g in composed[:5]] + composed[5:]):
+            np.testing.assert_allclose(gf, gc, rtol=0, atol=1e-9 * np.abs(gc).max())
+
+    def test_large_values_take_the_shifted_path(self, shift_free_calls):
+        # scores just under the float32 limit but values of 1e20: e.v of
+        # the raw exp (up to 1.8e19 per term) would overflow, so the value
+        # bound sends both branches through the shift, where e <= 1
+        limit = 0.5 * np.log(np.finfo(np.float32).max)
+        rng = np.random.default_rng(7)
+        q1, k1 = _near_bound(rng, 1, 2, 5, 4, 3, 0.98 * limit)
+        q2, k2 = _near_bound(rng, 1, 2, 5, 4, 3, 0.98 * limit)
+        v = 1e20 * rng.standard_normal((1, 2, 4, 3))
+        arrays = [a.astype(np.float32) for a in (q1, q2, k1, k2, v, np.array([0.8, 0.6]))]
+        got = ops.diff_attention(*_as_maps(arrays)).data
+        assert shift_free_calls == [[False, False]]
+        np.testing.assert_allclose(got, _as_map(differential_attention_naive(*arrays)),
+                                   rtol=0, atol=1e-4 * 1e20)
+
+
 class TestEfficientCrossAttention:
     def test_reduction_one_is_plain_attention(self, rng):
         p, _ = make_params(reduction=1)

@@ -278,6 +278,17 @@ class TestModelForward:
             forward()
         assert len(tape) <= 294
 
+    def test_default_128_forward_takes_no_row_max_shift(self, shift_free_calls):
+        # the attention kernels skip the row-max pass where the score bound
+        # allows; at the default config every branch of every call does
+        from evifuse.network import encode_scene
+
+        cfg = NetworkConfig(height=128, width=128)
+        scene = synth_scene(3, (128, 128), 3, 2.0, 50_000)
+        Model(cfg).forward_encoded(scene.image, encode_scene(scene, cfg))
+        # per stage: differential attention (two branches), cross-attention
+        assert shift_free_calls == [[True, True], [True]] * 4
+
 
 class TestEncodeScene:
     def test_window_us_is_the_encoded_duration(self):
