@@ -9,7 +9,6 @@ starting with '#' are skipped.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +16,7 @@ import numpy as np
 # polarity fit int16 and int8, 13 bytes an event in all
 _COLUMNS = {"t_us": np.dtype(np.int64), "x": np.dtype(np.int16),
             "y": np.dtype(np.int16), "p": np.dtype(np.int8)}
+_INT64 = np.iinfo(_COLUMNS["t_us"])
 
 
 class EventParseError(ValueError):
@@ -31,10 +31,10 @@ class Events:
     """An event stream as four columns: ``t_us`` int64, ``x`` and ``y`` int16,
     ``p`` (+-1) int8.
 
-    The constructor copies the columns into those dtypes, stable-sorts them
-    by timestamp (input order breaks ties) and makes them read-only, because
-    windows are views into them. It raises ``ValueError`` for a value its
-    column cannot hold instead of wrapping it.
+    The constructor keeps a read-only column of its dtype as it is and casts
+    any other to a copy, stable-sorts the columns by timestamp (input order
+    breaks ties) and makes them read-only, because windows are views into
+    them. It raises ``ValueError`` for a value its column cannot hold.
     """
 
     __slots__ = tuple(_COLUMNS)
@@ -44,6 +44,8 @@ class Events:
         if any(c.ndim != 1 or len(c) != len(cols[0]) for c in cols):
             raise ValueError("event columns must be 1-D and of equal length")
         for i, (name, dtype) in enumerate(_COLUMNS.items()):
+            if cols[i].dtype == dtype and not cols[i].flags.writeable:
+                continue
             with np.errstate(invalid="ignore"):  # a value cast out of range fails below
                 narrow = cols[i].astype(dtype)  # a copy, also when the dtype matches
             if not np.array_equal(narrow, cols[i]):
@@ -52,7 +54,7 @@ class Events:
         self._own(cols)
 
     def _own(self, cols):
-        """Hold the list of columns, which no one else references, as its own.
+        """Hold the list of columns, fresh copies or read-only, as its own.
 
         Out-of-order stamps are stable-sorted one column at a time; sorted
         columns are kept without a copy.
@@ -70,22 +72,35 @@ class Events:
         return len(self.t_us)
 
 
-@dataclass(frozen=True, eq=False)
-class EventWindow:
-    """Column views of the events with t_start_us <= t_us < t_end_us."""
+class EventWindow(Events):
+    """``Events`` in [t_start_us, t_end_us] on a height x width sensor: the
+    constructor also raises ``ValueError`` if a bound does not fit int64, the
+    span is not positive, an x or y is off the sensor or a stamp outside.
+    """
 
-    t_us: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    p: np.ndarray
-    t_start_us: int
-    t_end_us: int
-    height: int
-    width: int
+    __slots__ = ("t_start_us", "t_end_us", "height", "width")
 
-    @property
-    def count(self):
-        return len(self.t_us)
+    def __init__(self, t_us, x, y, p, t_start_us, t_end_us, height, width):
+        super().__init__(t_us, x, y, p)
+        _check_int64(t_start_us, t_end_us)
+        span = t_end_us - t_start_us
+        if span <= 0:
+            raise ValueError(f"window span t_end_us - t_start_us = {span} is not positive")
+        for name, col, size in (("x", self.x, width), ("y", self.y, height)):
+            if len(col) and (col.min() < 0 or col.max() >= size):
+                raise ValueError(f"event {name} outside [0, {size})")
+        if len(self) and (self.t_us[0] < t_start_us or self.t_us[-1] > t_end_us):
+            raise ValueError(f"event stamp outside [{t_start_us}, {t_end_us}]")
+        self.t_start_us, self.t_end_us, self.height, self.width = \
+            t_start_us, t_end_us, height, width
+
+    count = property(Events.__len__)
+
+
+def _check_int64(*bounds):
+    """``ValueError`` unless every window bound fits int64."""
+    if not all(_INT64.min <= bound <= _INT64.max for bound in bounds):
+        raise ValueError(f"window bounds {bounds} do not all fit int64")
 
 
 def parse_events(stream, dims):
@@ -220,14 +235,13 @@ def serialize_events(events):
 
 
 def window(events, t_end_us, duration_us, dims):
-    """Events in the half-open interval [t_end_us - duration_us, t_end_us).
-
-    ``events`` holds time-sorted columns (``Events`` or an ``EventWindow``);
-    the window's columns are views into them.
+    """The ``EventWindow`` of ``events`` in [t_end_us - duration_us, t_end_us)
+    on a sensor of ``dims`` (height, width), whose columns are views into the
+    columns of ``events`` (an ``Events`` value, a window too). ``ValueError``
+    if a bound does not fit int64 or the duration is not positive.
     """
-    if duration_us <= 0:
-        raise ValueError("window duration must be positive")
     t_start = t_end_us - duration_us
+    _check_int64(t_start, t_end_us)
     lo, hi = np.searchsorted(events.t_us, [t_start, t_end_us], side="left")
     return EventWindow(*(getattr(events, name)[lo:hi] for name in _COLUMNS),
                        t_start, t_end_us, *dims)

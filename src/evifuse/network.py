@@ -245,6 +245,8 @@ class Model:
                              f"{(cfg.height, cfg.width)}")
         if e_vt.shape != a_cm.shape or e_vt.shape[1] != cfg.bins:
             raise ShapeError("event tensors must agree and match config bins")
+        if image.shape[0] != e_vt.shape[0]:
+            raise ShapeError(f"image batch {image.shape[0]} != event batch {e_vt.shape[0]}")
         for t in (image, e_vt, a_cm):
             if t.dtype != self.dtype:
                 raise ValueError(f"input dtype {t.dtype} != model dtype {np.dtype(self.dtype)}")

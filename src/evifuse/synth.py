@@ -106,6 +106,8 @@ def synth_scene(seed, dims, n_objects, noise_rate, window_us):
         raise ValueError("need at least one object")
     if window_us < 1000:
         raise ValueError("window must cover at least one millisecond")
+    if not 0 <= noise_rate < np.inf:
+        raise ValueError(f"noise_rate must be finite and >= 0, got {noise_rate}")
     rng = np.random.default_rng(seed)
     duration_ms = window_us // 1000
 

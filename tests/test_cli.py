@@ -422,6 +422,36 @@ class TestSweepDuration:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("encode", "--t-end", str(10**20)),
+    ("encode", "--window-us", str(10**20)),
+    ("sweep-duration", "--t-end", str(10**20)),
+    ("sweep-duration", "--durations", str(10**20)),
+    ("synth", "--noise", "inf"),
+    ("synth", "--noise", "nan"),
+    ("synth", "--noise", "-1"),
+])
+def test_malformed_flag_exits_2_with_one_error_line(command, flag, value, small_config,
+                                                    tmp_path, capsys):
+    events = tmp_path / "events.csv"
+    events.write_text("10,1,1,1\n20,2,2,0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    args = {
+        "encode": ["--events", str(events), "--dims", "32x32", "--t-end", "20000",
+                   "--out", str(out / "enc")],
+        "sweep-duration": ["--config", small_config, "--events", str(events),
+                           "--t-end", "20000", "--out-dir", str(out)],
+        "synth": ["--seed", "3", "--dims", "32x32", "--objects", "1",
+                  "--out", str(out / "scene")],
+    }[command]
+    assert main([command, *args, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         result = subprocess.run(

@@ -294,9 +294,8 @@ class TestRejectsMalformedWindows:
         (4, -1, "y outside"),
     ])
     def test_off_sensor_event(self, x, y, message):
-        win = column_window([10, 20], [2, x], [2, y], [1, 1], 0, 100, SMALL_SENSOR)
         with pytest.raises(ValueError, match=message):
-            encode(win, 3)
+            encode(column_window([10, 20], [2, x], [2, y], [1, 1], 0, 100, SMALL_SENSOR), 3)
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, np.uint16])
     def test_off_sensor_check_reads_values_of_any_integer_dtype(self, dtype):
@@ -320,9 +319,8 @@ class TestRejectsMalformedWindows:
     @pytest.mark.parametrize("t_us", [[-1, 50], [50, 101], [101, 50], [50, -1]])
     def test_stamp_outside_window(self, t_us):
         # sorted and unsorted columns alike
-        win = column_window(t_us, [1, 2], [1, 2], [1, 1], 0, 100, SMALL_SENSOR)
         with pytest.raises(ValueError, match="stamp outside"):
-            encode(win, 3)
+            encode(column_window(t_us, [1, 2], [1, 2], [1, 1], 0, 100, SMALL_SENSOR), 3)
 
     def test_stamp_at_window_end_is_accepted(self):
         win = column_window([0, 100], [1, 2], [1, 2], [1, -1], 0, 100, SMALL_SENSOR)
@@ -332,9 +330,8 @@ class TestRejectsMalformedWindows:
 
     @pytest.mark.parametrize("t_end", [100, 99])
     def test_non_positive_span(self, t_end):
-        win = column_window([100], [1], [1], [1], 100, t_end, SMALL_SENSOR)
         with pytest.raises(ValueError, match="span"):
-            encode(win, 3)
+            encode(column_window([100], [1], [1], [1], 100, t_end, SMALL_SENSOR), 3)
 
 
 ENCODE_PEAK_BUDGET = 14 * 2**20  # bytes

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from evifuse import events as events_module
 from evifuse.events import (
-    EventParseError, Events, parse_events, serialize_events, window,
+    EventParseError, Events, EventWindow, parse_events, serialize_events, window,
 )
 from evifuse.tensor import Tensor
 from evifuse.tensorio import TensorFormatError, read_tensor, write_tensor
@@ -397,6 +397,51 @@ class TestWindow:
     def test_duration_must_be_positive(self):
         with pytest.raises(ValueError):
             window(NO_EVENTS, 100, 0, DIMS)
+
+    def test_is_events_sharing_the_stream_columns(self):
+        events = parse("10,1,1,1\n60,2,2,1\n110,3,3,1\n")
+        win = window(events, 100, 80, DIMS)
+        assert isinstance(win, Events)
+        assert np.shares_memory(window(win, 100, 50, DIMS).t_us, events.t_us)
+
+    @pytest.mark.parametrize("t_end, duration", [
+        (10**20, 5), (2**63, 5), (0, 2**63 + 1), (float("nan"), 5),
+    ])
+    def test_bound_beyond_int64_rejected(self, t_end, duration):
+        with pytest.raises(ValueError, match="do not all fit int64"):
+            window(NO_EVENTS, t_end, duration, DIMS)
+
+    def test_window_of_shuffled_hand_built_window(self, rng):
+        # a hand-built window is time-sorted however its columns come
+        stamps, x = [10, 20, 40, 50, 30], [0, 1, 2, 3, 4]
+        shuffled = EventWindow(stamps, x, x, [1] * 5, 0, 60, *DIMS)
+        assert window(shuffled, 35, 20, DIMS).t_us.tolist() == [20, 30]
+        t = rng.integers(0, 1000, 300)
+        cols = t, rng.integers(0, 10, 300), rng.integers(0, 10, 300), rng.choice([-1, 1], 300)
+        order = np.argsort(t, kind="stable")
+        built_sorted = EventWindow(*(c[order] for c in cols), 0, 1000, *DIMS)
+        built_shuffled = EventWindow(*cols, 0, 1000, *DIMS)
+        for t_end, duration in ((1000, 1000), (700, 250), (10, 3)):
+            assert rows(window(built_shuffled, t_end, duration, DIMS)) == \
+                rows(window(built_sorted, t_end, duration, DIMS))
+
+
+class TestEventWindow:
+    def test_shuffled_columns_held_sorted_and_read_only(self):
+        win = EventWindow([30, 10, 20, 10], [1, 2, 3, 4], [5, 6, 7, 8], [1, -1, 1, 1],
+                          0, 40, 10, 10)
+        assert rows(win) == [Event(10, 2, 6, -1), Event(10, 4, 8, 1),
+                             Event(20, 3, 7, 1), Event(30, 1, 5, 1)]
+        assert_column_dtypes(win)
+        for name in Event._fields:
+            assert not getattr(win, name).flags.writeable
+        assert (win.t_start_us, win.t_end_us, win.height, win.width, win.count) == \
+            (0, 40, 10, 10, 4)
+
+    @pytest.mark.parametrize("t_start, t_end", [(0, 2**63), (-2**63 - 1, 0), (0, 10**20)])
+    def test_bound_beyond_int64_rejected(self, t_start, t_end):
+        with pytest.raises(ValueError, match="do not all fit int64"):
+            EventWindow([], [], [], [], t_start, t_end, *DIMS)
 
 
 class TestTensorDump:

@@ -15,7 +15,7 @@ from evifuse.network import (
 )
 from evifuse.params import ParamStore, make_rng
 from evifuse.synth import synth_scene
-from evifuse.tensor import Tensor, tsum
+from evifuse.tensor import ShapeError, Tensor, tsum
 
 from _oracles import cross_entropy_naive, metrics_naive
 
@@ -253,6 +253,15 @@ class TestModelForward:
         image = Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32))
         ev = Tensor(np.zeros((1, 2, 64, 64), dtype=np.float32))
         with pytest.raises(Exception):
+            model.forward(image, ev, ev)
+
+    @pytest.mark.parametrize("use_marm, use_mgfm", [(False, False), (True, True)])
+    def test_batch_mismatch_rejected(self, use_marm, use_mgfm):
+        # a batch-1 event pair must not broadcast against a batch-2 image
+        model = Model(small_config(use_marm=use_marm, use_mgfm=use_mgfm))
+        image = Tensor(np.zeros((2, 3, 32, 32), dtype=np.float32))
+        ev = Tensor(np.zeros((1, 2, 32, 32), dtype=np.float32))
+        with pytest.raises(ShapeError, match="image batch 2 != event batch 1"):
             model.forward(image, ev, ev)
 
     @pytest.mark.parametrize("toggles", list(itertools.product([False, True], repeat=3)))

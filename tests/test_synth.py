@@ -43,6 +43,11 @@ class TestSynthScene:
         clean = synth_scene(5, (64, 64), 1, noise_rate=0.0, window_us=20000)
         assert len(noisy.events) - len(clean.events) == 40  # 2 events/ms * 20 ms
 
+    @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
+    def test_bad_noise_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match=f"noise_rate .* got {rate}$"):
+            synth_scene(5, (32, 32), 1, noise_rate=rate, window_us=20000)
+
     def test_labels_and_image_ranges(self):
         scene = synth_scene(9, (64, 96), 3, 1.0, 30000)
         labels = scene.labels.data
